@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
 #include "service/client.hh"
@@ -75,7 +76,8 @@ const char *const kUsage =
     "      instead of running in-process, polls it to completion, and\n"
     "      copies fuzz-report.json into DIR; the report and exit code\n"
     "      are identical to a direct run (--minutes is not available\n"
-    "      in daemon mode).\n"
+    "      in daemon mode). --jobs bounds the threads of the whole\n"
+    "      run: seed waves and each seed's parallel lockstep share J.\n"
     "  shrink <trace> [--out FILE] [--quick]\n"
     "      ddmin-shrink a diverging trace to a minimal repro\n"
     "      (FILE defaults to <trace>.min.trc)\n"
@@ -361,6 +363,10 @@ cmdRun(int argc, char **argv)
         return cmdDaemonRun(opt, daemonSocket);
     }
 
+    // J bounds the whole process: a lone seed's Differ (and the
+    // shrinker's) use jobs(), and Differs nested in a wave run inline.
+    if (jobsSet)
+        setJobs(opt.jobs);
     const FuzzBatchResult res = runFuzzBatch(opt);
     return res.exitCode;
 }

@@ -10,7 +10,8 @@ namespace zerodev
 namespace
 {
 std::atomic<unsigned> gJobsOverride{0};
-}
+thread_local bool tOnPoolWorker = false;
+} // namespace
 
 unsigned
 hardwareJobs()
@@ -45,7 +46,7 @@ jobs()
 }
 
 ThreadPool::ThreadPool(unsigned workers)
-    : workers_(workers > 0 ? workers : jobs())
+    : workers_(tOnPoolWorker ? 1 : workers > 0 ? workers : jobs())
 {
     if (workers_ <= 1)
         return; // inline mode: submit() runs jobs on the caller
@@ -113,6 +114,7 @@ ThreadPool::runJob(const Job &job)
 void
 ThreadPool::workerLoop()
 {
+    tOnPoolWorker = true;
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
         workCv_.wait(lock,
@@ -154,7 +156,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
     if (n == 0)
         return;
     const unsigned k = jobs_override > 0 ? jobs_override : jobs();
-    if (k <= 1 || n == 1) {
+    if (k <= 1 || n == 1 || tOnPoolWorker) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;

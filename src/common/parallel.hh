@@ -15,6 +15,11 @@
  *   3. the ZERODEV_JOBS environment variable,
  *   4. std::thread::hardware_concurrency().
  * A job count of 1 runs everything inline on the calling thread.
+ *
+ * Pools do not nest: a ThreadPool built on a pool-worker thread (for
+ * example a Differ run inside a parallel fuzz wave) gets one worker and
+ * runs its jobs inline, so an outer pool of J workers bounds the whole
+ * process to J simulation threads.
  */
 
 #ifndef ZERODEV_COMMON_PARALLEL_HH
@@ -54,12 +59,15 @@ unsigned jobs();
  * exception of the *lowest-numbered* failing job (deterministic no
  * matter how execution interleaved) and leaves the pool reusable.
  * With a single worker the pool runs each job inline in submit(),
- * making jobs=1 an exact serial fallback with no thread involved.
+ * making jobs=1 an exact serial fallback with no thread involved. A
+ * pool constructed on a worker thread of another pool always has a
+ * single worker.
  */
 class ThreadPool
 {
   public:
-    /** @param workers worker count; 0 selects jobs(). */
+    /** @param workers worker count; 0 selects jobs(). Forced to 1 when
+     *  called on a pool-worker thread. */
     explicit ThreadPool(unsigned workers = 0);
     ~ThreadPool();
 

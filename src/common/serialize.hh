@@ -17,6 +17,7 @@
 #ifndef ZERODEV_COMMON_SERIALIZE_HH
 #define ZERODEV_COMMON_SERIALIZE_HH
 
+#include <bit>
 #include <bitset>
 #include <cstdint>
 #include <cstring>
@@ -29,32 +30,33 @@ namespace zerodev
 /** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of @p n bytes. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t n);
 
+/** @p v with its bytes in little-endian order (a no-op on
+ *  little-endian hosts, a byte swap on big-endian ones). */
+template <typename T>
+constexpr T
+littleEndian(T v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        return v;
+    } else {
+        T r = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            r = static_cast<T>((r << 8) | (v & 0xFF));
+            v = static_cast<T>(v >> 8);
+        }
+        return r;
+    }
+}
+
 /** Little-endian append-only encoder. */
 class SerialOut
 {
   public:
     void u8(std::uint8_t v) { buf_.push_back(v); }
 
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    void u16(std::uint16_t v) { word(v); }
+    void u32(std::uint32_t v) { word(v); }
+    void u64(std::uint64_t v) { word(v); }
 
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -103,6 +105,16 @@ class SerialOut
     std::size_t size() const { return buf_.size(); }
 
   private:
+    /** One fixed-width little-endian field, appended in one copy. */
+    template <typename T>
+    void
+    word(T v)
+    {
+        v = littleEndian(v);
+        const auto *bytes = reinterpret_cast<const std::uint8_t *>(&v);
+        buf_.insert(buf_.end(), bytes, bytes + sizeof v);
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
@@ -128,26 +140,9 @@ class SerialIn
         return data_[pos_++];
     }
 
-    std::uint16_t
-    u16()
-    {
-        const std::uint16_t lo = u8();
-        return static_cast<std::uint16_t>(lo | (std::uint16_t(u8()) << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        const std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        const std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
+    std::uint16_t u16() { return word<std::uint16_t>(); }
+    std::uint32_t u32() { return word<std::uint32_t>(); }
+    std::uint64_t u64() { return word<std::uint64_t>(); }
 
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -171,6 +166,18 @@ class SerialIn
         std::string s(reinterpret_cast<const char *>(data_ + pos_), n);
         pos_ += n;
         return s;
+    }
+
+    /** Consume @p n raw bytes (the inverse of SerialOut::raw); returns
+     *  a pointer to them in the input, or nullptr after a failure. */
+    const std::uint8_t *
+    raw(std::size_t n)
+    {
+        if (!need(n))
+            return nullptr;
+        const std::uint8_t *p = data_ + pos_;
+        pos_ += n;
+        return p;
     }
 
     template <std::size_t N>
@@ -215,6 +222,20 @@ class SerialIn
     bool exhausted() const { return ok_ && pos_ == size_; }
 
   private:
+    /** One fixed-width little-endian field, read in one copy. A field
+     *  that overruns the input reads 0 and consumes nothing. */
+    template <typename T>
+    T
+    word()
+    {
+        if (!need(sizeof(T)))
+            return 0;
+        T v;
+        std::memcpy(&v, data_ + pos_, sizeof v);
+        pos_ += sizeof v;
+        return littleEndian(v);
+    }
+
     bool
     need(std::size_t n)
     {

@@ -88,9 +88,7 @@ Snapshot::decode(const std::uint8_t *data, std::size_t size,
         const std::uint64_t payload = in.u64();
         if (!in.ok() || in.remaining() < payload)
             return fail("snapshot truncated");
-        SerialOut &out = section(name);
-        for (std::uint64_t b = 0; b < payload; ++b)
-            out.u8(in.u8());
+        section(name).raw(in.raw(payload), payload);
     }
     if (!in.exhausted())
         return fail(in.ok() ? "trailing bytes after snapshot sections"

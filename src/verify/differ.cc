@@ -1,11 +1,16 @@
 #include "verify/differ.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
 #include "core/cmp_system.hh"
@@ -159,9 +164,8 @@ DifferCheckpoint::load(const std::string &path, std::string *err)
         const std::uint64_t size = in.u64();
         if (!in.check(in.remaining() >= size, "snapshot truncated"))
             break;
-        st.system.resize(size);
-        for (std::uint64_t b = 0; b < size; ++b)
-            st.system[b] = in.u8();
+        const std::uint8_t *image = in.raw(size);
+        st.system.assign(image, image + size);
         st.now = in.u64();
         const std::uint64_t poisoned = in.u64();
         for (std::uint64_t p = 0; p < poisoned && in.ok(); ++p)
@@ -282,24 +286,61 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
         start = from->accessIndex;
     }
 
+    // Lockstep runs in chunks that end at the next multiple of any
+    // cadence, so every sweep, checkpoint and progress call lands
+    // between chunks exactly where a record-by-record loop puts it.
+    // Within a chunk each instance steps on a pool worker of its own.
+    auto chunkEnd = [&](std::uint64_t pos) {
+        std::uint64_t end = stream.size();
+        auto cut = [&](std::uint64_t cadence) {
+            if (cadence && cadence - pos % cadence < end - pos)
+                end = pos + (cadence - pos % cadence);
+        };
+        cut(opt_.invariantCadence);
+        cut(opt_.coreStateCadence);
+        cut(opt_.snapshotCadence);
+        if (opt_.progress)
+            cut(opt_.progressCadence);
+        return end;
+    };
+
+    // A stream that fits in one chunk runs inline: short ddmin
+    // candidates spawn no threads. Nested in another pool's worker
+    // (a parallel fuzz wave), the pool runs inline as well.
+    const std::size_t n = inst.size();
+    unsigned workers = 1;
+    if (chunkEnd(start) < stream.size())
+        workers = static_cast<unsigned>(std::min<std::size_t>(jobs(), n));
+    ThreadPool pool(workers);
+    // Jobs are submitted costliest instance first (by its host time on
+    // the last chunk), which keeps the pool's tail short. The order
+    // never affects results.
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::vector<std::chrono::steady_clock::duration> cost(n);
+    auto forEachInstance = [&](const std::function<void(std::size_t)> &fn) {
+        for (const std::size_t i : order)
+            pool.submit([&fn, i] { fn(i); });
+        pool.wait();
+    };
+
     // Snapshot of every instance + the harness state, kept one cadence
     // behind the execution front so it is always pre-divergence.
     auto capture = [&](std::uint64_t done) {
         DifferCheckpoint &cp = res.checkpoint;
         cp.valid = true;
         cp.accessIndex = done;
-        cp.instances.clear();
-        cp.instances.reserve(inst.size());
-        for (const Instance &in : inst) {
-            DifferCheckpoint::InstanceState st;
+        cp.instances.assign(n, {});
+        forEachInstance([&](std::size_t i) {
+            DifferCheckpoint::InstanceState &st = cp.instances[i];
             SerialOut out;
-            in.sys->saveState(out);
+            inst[i].sys->saveState(out);
             st.system = out.data();
-            st.now = in.now;
-            st.poisoned.assign(in.poisoned.begin(), in.poisoned.end());
+            st.now = inst[i].now;
+            st.poisoned.assign(inst[i].poisoned.begin(),
+                               inst[i].poisoned.end());
             std::sort(st.poisoned.begin(), st.poisoned.end());
-            cp.instances.push_back(std::move(st));
-        }
+        });
         cp.versions.assign(version.begin(), version.end());
         std::sort(cp.versions.begin(), cp.versions.end());
     };
@@ -314,24 +355,48 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
     };
 
     // One full consistency sweep: invariants on every instance, then the
-    // strict-group private-cache comparison.
+    // strict-group private-cache comparison. The per-instance work runs
+    // on the pool; the verdict is read in instance order.
     auto sweep = [&](std::uint64_t index, bool invariants,
                      bool core_state) -> bool {
         ++res.sweeps;
         if (invariants) {
-            for (std::size_t i = 0; i < inst.size(); ++i) {
-                const auto violations = checkInvariants(*inst[i].sys);
-                if (!violations.empty()) {
+            std::vector<std::vector<Violation>> violations(n);
+            forEachInstance([&](std::size_t i) {
+                violations[i] = checkInvariants(*inst[i].sys);
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!violations[i].empty()) {
                     diverge(i, index, "invariant",
-                            violations.front().rule + ": " +
-                                violations.front().detail);
+                            violations[i].front().rule + ": " +
+                                violations[i].front().detail);
                     return false;
                 }
             }
         }
         if (!core_state)
             return true;
-        for (std::size_t i = 0; i < inst.size(); ++i) {
+        // Sorted private-cache contents of every strict-group member,
+        // per core.
+        using BlockState = std::pair<BlockAddr, MesiState>;
+        std::vector<std::vector<std::vector<BlockState>>> contents(n);
+        forEachInstance([&](std::size_t i) {
+            if (strictGroup_[i] < 0)
+                return;
+            const SystemConfig &cfg = variants_[i].cfg;
+            contents[i].resize(cores_);
+            for (CoreId c = 0; c < cores_; ++c) {
+                std::vector<BlockState> &blocks = contents[i][c];
+                inst[i]
+                    .sys->privateCache(c / cfg.coresPerSocket,
+                                       c % cfg.coresPerSocket)
+                    .forEachBlock([&](BlockAddr blk, MesiState st) {
+                        blocks.emplace_back(blk, st);
+                    });
+                std::sort(blocks.begin(), blocks.end());
+            }
+        });
+        for (std::size_t i = 0; i < n; ++i) {
             const int g = strictGroup_[i];
             if (g < 0)
                 continue;
@@ -345,29 +410,13 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
             }
             if (head == i)
                 continue;
-            const SystemConfig &hc = variants_[head].cfg;
-            const SystemConfig &ic = variants_[i].cfg;
             // E vs S grants can legitimately differ across socket
             // partitionings once forwarding is involved; within one
             // group the partitioning is identical, so exact MESI
             // equality is required.
             for (CoreId c = 0; c < cores_; ++c) {
-                using BlockState = std::pair<BlockAddr, MesiState>;
-                std::vector<BlockState> a, b;
-                inst[head]
-                    .sys->privateCache(c / hc.coresPerSocket,
-                                       c % hc.coresPerSocket)
-                    .forEachBlock([&](BlockAddr blk, MesiState st) {
-                        a.emplace_back(blk, st);
-                    });
-                inst[i]
-                    .sys->privateCache(c / ic.coresPerSocket,
-                                       c % ic.coresPerSocket)
-                    .forEachBlock([&](BlockAddr blk, MesiState st) {
-                        b.emplace_back(blk, st);
-                    });
-                std::sort(a.begin(), a.end());
-                std::sort(b.begin(), b.end());
+                const std::vector<BlockState> &a = contents[head][c];
+                const std::vector<BlockState> &b = contents[i][c];
                 if (a == b)
                     continue;
                 // Name the first differing block for the report.
@@ -391,36 +440,64 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
         return true;
     };
 
-    for (std::uint64_t idx = start; idx < stream.size(); ++idx) {
-        const TraceRecord &rec = stream[idx];
-        const AccessType type = rec.access.type;
-        const BlockAddr block = rec.access.block;
-        const CoreId core = rec.core;
-        if (core >= cores_) {
-            panic("stream record %llu targets core %u of %u",
-                  static_cast<unsigned long long>(idx), core, cores_);
+    // What one instance saw over one chunk.
+    struct Lane
+    {
+        /** (record, value) wherever the instance observed a value other
+         *  than the shadow oracle's, in stream order. */
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> odd;
+        /** Rule and detail of the instance's first response or
+         *  destroyed-data failure; it stops stepping there. */
+        std::string rule;
+        std::string detail;
+    };
+    std::vector<Lane> lanes(n);
+
+    // Expected store version of each record of the chunk.
+    std::vector<std::uint64_t> expected;
+
+    // Lockstep position (record * n + instance) of the earliest failure
+    // any worker has hit in this chunk. A record-by-record loop never
+    // gets past it, so no worker steps beyond it either.
+    constexpr std::uint64_t kNoFailure = ~std::uint64_t{0};
+    std::atomic<std::uint64_t> firstFailure{kNoFailure};
+
+    // Note instance i's first response or destroyed-data failure in its
+    // lane, and publish it if it is the earliest so far.
+    auto failure = [&](std::size_t i, std::uint64_t index,
+                       const std::string &rule, const std::string &det) {
+        lanes[i].rule = rule;
+        lanes[i].detail = det;
+        const std::uint64_t key = index * n + i;
+        for (std::uint64_t cur = firstFailure.load(); key < cur;) {
+            if (firstFailure.compare_exchange_weak(cur, key))
+                break;
         }
+    };
 
-        if (type == AccessType::Store)
-            ++version[block];
-        const std::uint64_t expected = version[block];
-
-        // Value every instance claims the access observed; compared
-        // across the whole set below.
-        std::vector<std::uint64_t> observed(inst.size(), expected);
-
-        for (std::size_t i = 0; i < inst.size(); ++i) {
-            Instance &in = inst[i];
-            CmpSystem &sys = *in.sys;
-            const SystemConfig &cfg = in.variant->cfg;
+    // Step instance i over the chunk's records [lo, hi).
+    auto step = [&](std::size_t i, std::uint64_t lo, std::uint64_t hi) {
+        Instance &in = inst[i];
+        Lane &lane = lanes[i];
+        CmpSystem &sys = *in.sys;
+        const SystemConfig &cfg = in.variant->cfg;
+        // Simulated time lives in a local so workers do not write to
+        // neighbouring Instance slots record after record.
+        Cycle now = in.now;
+        for (std::uint64_t idx = lo; idx < hi; ++idx) {
+            if (idx * n + i > firstFailure.load())
+                break;
+            const TraceRecord &rec = stream[idx];
+            const AccessType type = rec.access.type;
+            const BlockAddr block = rec.access.block;
+            const CoreId core = rec.core;
             const SocketId home = sys.homeSocket(block);
             const bool destroyedPre = sys.memStore(home).destroyed(block);
             const std::uint64_t recoveryPre =
                 recoveryFlows(sys.protoStats());
             const ClassCounts classPre = sys.protoStats().classCount;
 
-            in.now = sys.access(core, type, block,
-                                in.now + rec.access.gap);
+            now = sys.access(core, type, block, now + rec.access.gap);
 
             // Which service class completed the transaction?
             const ClassCounts &classPost = sys.protoStats().classCount;
@@ -439,18 +516,18 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
                                  core % cfg.coresPerSocket)
                     .state(block);
             if (st == MesiState::Invalid) {
-                diverge(i, idx, "response",
+                failure(i, idx, "response",
                         "core " + std::to_string(core) +
                             " has no copy of " + hex(block) +
                             " after its own access");
-                return finish(res, idx + 1);
+                break;
             }
             if (type == AccessType::Store && st != MesiState::Modified) {
-                diverge(i, idx, "response",
+                failure(i, idx, "response",
                         "store by core " + std::to_string(core) +
                             " left " + hex(block) + " in state " +
                             toString(st));
-                return finish(res, idx + 1);
+                break;
             }
 
             // Destroyed-data safety: a transaction that touched a block
@@ -461,43 +538,114 @@ Differ::runImpl(const std::vector<TraceRecord> &stream,
             if (destroyedPre && cls == AccessClass::Memory &&
                 recoveryFlows(sys.protoStats()) == recoveryPre) {
                 in.poisoned.insert(block);
-                diverge(i, idx, "destroyed-data",
+                failure(i, idx, "destroyed-data",
                         "access to " + hex(block) +
                             " served from destroyed memory without a "
                             "recovery flow");
-                return finish(res, idx + 1);
+                break;
             }
 
+            const std::uint64_t want = expected[idx - lo];
+            std::uint64_t value = want;
             if (in.poisoned.count(block))
-                observed[i] = poisonValue(block);
+                value = poisonValue(block);
             if (hook_.enabled && i == hook_.instance &&
                 type == AccessType::Load && block == hook_.block &&
-                version[block] >= hook_.afterStores) {
-                observed[i] = expected + 1;
+                want >= hook_.afterStores) {
+                value = want + 1;
             }
+            if (value != want)
+                lane.odd.emplace_back(idx, value);
+        }
+        in.now = now;
+    };
+
+    for (std::uint64_t lo = start; lo < stream.size();) {
+        std::uint64_t hi = chunkEnd(lo);
+
+        // The shadow oracle depends on the stream alone:
+        // version[b] = number of stores to b so far.
+        expected.clear();
+        for (std::uint64_t idx = lo; idx < hi; ++idx) {
+            const TraceRecord &rec = stream[idx];
+            if (rec.core >= cores_) {
+                // Run the records before it first, so a divergence
+                // among them is still the verdict.
+                if (idx > lo) {
+                    hi = idx;
+                    break;
+                }
+                panic("stream record %llu targets core %u of %u",
+                      static_cast<unsigned long long>(idx), rec.core,
+                      cores_);
+            }
+            std::uint64_t &ver = version[rec.access.block];
+            if (rec.access.type == AccessType::Store)
+                ++ver;
+            expected.push_back(ver);
         }
 
-        // The architectural-invisibility oracle: every instance observed
-        // the same value for this access.
-        for (std::size_t i = 1; i < inst.size(); ++i) {
-            if (observed[i] != observed[0]) {
-                diverge(i, idx, "load-value",
-                        toString(type) + std::string(" of ") +
-                            hex(block) + " by core " +
-                            std::to_string(core) + " observed value " +
-                            std::to_string(observed[i]) + ", " +
-                            variants_[0].name + " observed " +
-                            std::to_string(observed[0]));
-                return finish(res, idx + 1);
+        for (Lane &lane : lanes)
+            lane.odd.clear();
+        firstFailure.store(kNoFailure);
+        forEachInstance([&](std::size_t i) {
+            const auto t0 = std::chrono::steady_clock::now();
+            step(i, lo, hi);
+            cost[i] = std::chrono::steady_clock::now() - t0;
+        });
+        std::stable_sort(
+            order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
+
+        // Verdicts in lockstep order. A failure at (record, instance)
+        // ends the run; before it, the architectural-invisibility
+        // oracle: every instance observed the same value per record.
+        const std::uint64_t first = firstFailure.load();
+        const std::uint64_t stop = first == kNoFailure ? hi : first / n;
+        std::vector<std::uint64_t> oddRecords;
+        for (const Lane &lane : lanes) {
+            for (const auto &entry : lane.odd) {
+                if (entry.first < stop)
+                    oddRecords.push_back(entry.first);
             }
         }
+        std::sort(oddRecords.begin(), oddRecords.end());
+        for (const std::uint64_t idx : oddRecords) {
+            const AccessType type = stream[idx].access.type;
+            const BlockAddr block = stream[idx].access.block;
+            const CoreId core = stream[idx].core;
+            std::vector<std::uint64_t> observed(n, expected[idx - lo]);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (const auto &[at, value] : lanes[i].odd) {
+                    if (at == idx)
+                        observed[i] = value;
+                }
+            }
+            for (std::size_t i = 1; i < n; ++i) {
+                if (observed[i] != observed[0]) {
+                    diverge(i, idx, "load-value",
+                            toString(type) + std::string(" of ") +
+                                hex(block) + " by core " +
+                                std::to_string(core) + " observed value " +
+                                std::to_string(observed[i]) + ", " +
+                                variants_[0].name + " observed " +
+                                std::to_string(observed[0]));
+                    return finish(res, idx + 1);
+                }
+            }
+        }
+        if (first != kNoFailure) {
+            const Lane &lane = lanes[first % n];
+            diverge(first % n, stop, lane.rule, lane.detail);
+            return finish(res, stop + 1);
+        }
 
-        const std::uint64_t done = idx + 1;
+        const std::uint64_t done = lo = hi;
         const bool inv = opt_.invariantCadence &&
                          done % opt_.invariantCadence == 0;
         const bool cst = opt_.coreStateCadence &&
                          done % opt_.coreStateCadence == 0;
-        if ((inv || cst) && !sweep(idx, inv, cst))
+        if ((inv || cst) && !sweep(done - 1, inv, cst))
             return finish(res, done);
         if (opt_.snapshotCadence && done % opt_.snapshotCadence == 0)
             capture(done);

@@ -145,7 +145,9 @@ struct DifferResult
  * Drives every variant over one access stream in lockstep. run() is
  * const and re-entrant: each call constructs fresh CmpSystem instances,
  * which is exactly what the ddmin shrinker needs to re-validate
- * candidate traces.
+ * candidate traces. Between cadence boundaries the instances step
+ * concurrently on up to jobs() pool workers; the result is the same at
+ * any job count (docs/VERIFICATION.md, "Parallel lockstep").
  */
 class Differ
 {

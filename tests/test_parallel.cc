@@ -100,6 +100,31 @@ TEST(ThreadPool, DrainsAndStaysReusableAfterWait)
     EXPECT_EQ(hits.load(), 15);
 }
 
+TEST(ThreadPool, NestedPoolRunsInlineOnTheWorker)
+{
+    // A pool built inside a parallel body must not multiply the thread
+    // count: it gets one worker and runs every job on the caller.
+    std::atomic<int> nestedJobs{0};
+    parallelFor(
+        4,
+        [&](std::size_t) {
+            ThreadPool inner(4);
+            EXPECT_EQ(inner.workers(), 1u);
+            const auto self = std::this_thread::get_id();
+            for (int j = 0; j < 3; ++j) {
+                inner.submit([&] {
+                    EXPECT_EQ(std::this_thread::get_id(), self);
+                    ++nestedJobs;
+                });
+            }
+            inner.wait();
+        },
+        2);
+    EXPECT_EQ(nestedJobs.load(), 12);
+    ThreadPool outer(2);
+    EXPECT_EQ(outer.workers(), 2u);
+}
+
 TEST(ThreadPool, WaitClearsErrorForReuse)
 {
     ThreadPool pool(2);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 
+#include "common/parallel.hh"
 #include "verify/differ.hh"
 #include "verify/shrink.hh"
 
@@ -219,6 +220,146 @@ TEST(Differ, MultiSocketVariantsCoverBothPartitionings)
     }
     EXPECT_TRUE(single);
     EXPECT_TRUE(dual);
+}
+
+// ---------------------------------------------------------------------
+// Parallel lockstep: the verdict must not depend on the job count
+// ---------------------------------------------------------------------
+
+/** @p fn's result with the process job count pinned to @p jobs. */
+template <typename Fn>
+DifferResult
+withJobs(unsigned jobs, Fn &&fn)
+{
+    setJobs(jobs);
+    DifferResult res = fn();
+    setJobs(0);
+    return res;
+}
+
+void
+expectSameDivergence(const Divergence &a, const Divergence &b)
+{
+    EXPECT_EQ(a.found, b.found);
+    EXPECT_EQ(a.rule, b.rule);
+    EXPECT_EQ(a.instance, b.instance);
+    EXPECT_EQ(a.accessIndex, b.accessIndex);
+    EXPECT_EQ(a.detail, b.detail);
+}
+
+void
+expectSameCheckpoint(const DifferCheckpoint &a, const DifferCheckpoint &b)
+{
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.accessIndex, b.accessIndex);
+    EXPECT_EQ(a.versions, b.versions);
+    ASSERT_EQ(a.instances.size(), b.instances.size());
+    for (std::size_t i = 0; i < a.instances.size(); ++i) {
+        EXPECT_EQ(a.instances[i].system, b.instances[i].system) << i;
+        EXPECT_EQ(a.instances[i].now, b.instances[i].now) << i;
+        EXPECT_EQ(a.instances[i].poisoned, b.instances[i].poisoned) << i;
+    }
+}
+
+/** A fuzz stream with a fault trigger spliced in: two stores to an
+ *  otherwise untouched block early on, and the first load of it at
+ *  record @p loadAt (the planted fault fires exactly there). */
+std::vector<TraceRecord>
+streamWithTriggerAt(std::uint64_t loadAt, BlockAddr block)
+{
+    auto stream = fuzzStream(5, 4, 3000);
+    for (const std::uint64_t i : {std::uint64_t{100}, std::uint64_t{600}}) {
+        stream[i].access.type = AccessType::Store;
+        stream[i].access.block = block;
+    }
+    stream[loadAt].access.type = AccessType::Load;
+    stream[loadAt].access.block = block;
+    return stream;
+}
+
+TEST(Differ, ParallelLockstepMatchesSerialOnStandardVariants)
+{
+    DifferOptions opt;
+    opt.snapshotCadence = 1000;
+    const Differ differ(Differ::standardVariants(4), opt);
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+        SCOPED_TRACE(seed);
+        const auto stream = fuzzStream(seed, 4, 5000);
+        const DifferResult serial =
+            withJobs(1, [&] { return differ.run(stream); });
+        const DifferResult parallel =
+            withJobs(4, [&] { return differ.run(stream); });
+        EXPECT_TRUE(serial.ok());
+        EXPECT_EQ(parallel.ok(), serial.ok());
+        EXPECT_EQ(parallel.accesses, serial.accesses);
+        EXPECT_EQ(parallel.sweeps, serial.sweeps);
+        EXPECT_EQ(serial.checkpoint.accessIndex, 5000u);
+        expectSameCheckpoint(parallel.checkpoint, serial.checkpoint);
+    }
+}
+
+TEST(Differ, ParallelLockstepReportsTheSerialDivergence)
+{
+    // Mid-chunk (the default core-state cadence cuts chunks every 1024
+    // records) and on a chunk's last record; with the fault in instance
+    // 0 every other instance disagrees and instance 1 must be named.
+    const BlockAddr block = 1u << 20;
+    for (const std::uint64_t loadAt : {std::uint64_t{1500},
+                                       std::uint64_t{1023}}) {
+        for (const std::size_t faulty : {std::size_t{4}, std::size_t{0}}) {
+            SCOPED_TRACE(std::to_string(loadAt) + "/" +
+                         std::to_string(faulty));
+            Differ differ(Differ::standardVariants(4));
+            FaultHook hook;
+            hook.enabled = true;
+            hook.instance = faulty;
+            hook.block = block;
+            hook.afterStores = 2;
+            differ.setFaultHook(hook);
+            const auto stream = streamWithTriggerAt(loadAt, block);
+            const DifferResult serial =
+                withJobs(1, [&] { return differ.run(stream); });
+            const DifferResult parallel =
+                withJobs(4, [&] { return differ.run(stream); });
+            ASSERT_TRUE(serial.divergence.found);
+            EXPECT_EQ(serial.divergence.rule, "load-value");
+            EXPECT_EQ(serial.divergence.accessIndex, loadAt);
+            EXPECT_EQ(serial.divergence.instance,
+                      differ.variants()[faulty ? faulty : 1].name);
+            EXPECT_EQ(serial.accesses, loadAt + 1);
+            expectSameDivergence(parallel.divergence, serial.divergence);
+            EXPECT_EQ(parallel.accesses, serial.accesses);
+            EXPECT_EQ(parallel.sweeps, serial.sweeps);
+        }
+    }
+}
+
+TEST(Differ, ParallelResumeReachesTheSameVerdict)
+{
+    const BlockAddr block = 1u << 20;
+    DifferOptions opt;
+    opt.snapshotCadence = 1000;
+    Differ differ(Differ::standardVariants(4), opt);
+    FaultHook hook;
+    hook.enabled = true;
+    hook.instance = 2;
+    hook.block = block;
+    hook.afterStores = 2;
+    differ.setFaultHook(hook);
+    const auto stream = streamWithTriggerAt(2500, block);
+
+    const DifferResult full =
+        withJobs(1, [&] { return differ.run(stream); });
+    ASSERT_TRUE(full.divergence.found);
+    ASSERT_TRUE(full.checkpoint.valid);
+    EXPECT_EQ(full.checkpoint.accessIndex, 2000u);
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        const DifferResult resumed = withJobs(
+            jobs, [&] { return differ.resume(full.checkpoint, stream); });
+        expectSameDivergence(resumed.divergence, full.divergence);
+        EXPECT_EQ(resumed.accesses, full.accesses);
+    }
 }
 
 } // namespace
