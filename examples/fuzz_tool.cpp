@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/exit_codes.hh"
 #include "common/parallel.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
@@ -48,13 +49,6 @@ using namespace zerodev::verify;
 
 namespace
 {
-
-// Exit codes — keep in sync with the file header and docs.
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitLoad = 3;
-constexpr int kExitDivergence = 4;
 
 const char *const kUsage =
     "usage: fuzz_tool <subcommand> [args]\n"
@@ -411,7 +405,7 @@ cmdShrink(int argc, char **argv)
                 " candidates%s): %s\n",
                 res.originalSize, res.trace.size(), res.candidatesTried,
                 res.hitCandidateCap ? ", hit cap" : "", out.c_str());
-    return kExitDivergence;
+    return kExitCheckFailed;
 }
 
 /** "replayed X of Y records (Z% of the stream)" — the fast-forward
@@ -496,7 +490,7 @@ cmdReplay(int argc, char **argv)
                   trace.records().size());
         if (!res.ok()) {
             printDivergence(in, res.divergence);
-            return kExitDivergence;
+            return kExitCheckFailed;
         }
         std::printf("no divergence\n");
         return kExitOk;
@@ -535,7 +529,7 @@ cmdReplay(int argc, char **argv)
                 std::printf("checkpoint saved: %s\n", savePath.c_str());
             }
         }
-        return kExitDivergence;
+        return kExitCheckFailed;
     }
     std::printf("no divergence\n");
     return kExitOk;

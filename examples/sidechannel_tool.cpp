@@ -46,6 +46,7 @@
 
 #include "attack/scenario.hh"
 #include "bench_util.hh"
+#include "common/exit_codes.hh"
 #include "common/parallel.hh"
 #include "obs/json.hh"
 #include "obs/leakage.hh"
@@ -57,12 +58,6 @@ using namespace zerodev;
 
 namespace
 {
-
-// Exit codes — keep in sync with the file header and docs.
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitIsolation = 4;
 
 // The CI-gated thresholds, in bits/trial of channel capacity.
 constexpr double kLeakThresholdBits = 0.5;
@@ -351,7 +346,7 @@ main(int argc, char **argv)
                      "sidechannel_tool: ISOLATION VIOLATION — a "
                      "non-leaking configuration leaked or violated an "
                      "invariant\n");
-        return kExitIsolation;
+        return kExitCheckFailed;
     }
     if (sparse_failed) {
         std::fprintf(stderr,

@@ -32,6 +32,7 @@
 #include <thread>
 
 #include "common/config.hh"
+#include "common/exit_codes.hh"
 #include "core/cmp_system.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
@@ -44,13 +45,6 @@ using namespace zerodev;
 
 namespace
 {
-
-// Exit codes — keep in sync with the file header and docs.
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitLoad = 3;
-constexpr int kExitCheck = 4;
 
 const char *const kUsage =
     "usage: telemetry_tool <subcommand> [args]\n"
@@ -206,7 +200,7 @@ cmdTop(int argc, char **argv)
             // a parse failure means a genuinely bad document.
             std::fprintf(stderr, "telemetry_tool: bad status.json: %s\n",
                          err.c_str());
-            return kExitCheck;
+            return kExitCheckFailed;
         }
         if (!once)
             std::printf("\033[2J\033[H"); // clear screen, home cursor
@@ -236,7 +230,7 @@ cmdCheckProm(int argc, char **argv)
     if (!obs::checkPrometheusText(*text, &err)) {
         std::fprintf(stderr, "telemetry_tool: %s: %s\n", argv[2],
                      err.c_str());
-        return kExitCheck;
+        return kExitCheckFailed;
     }
     std::printf("%s: valid Prometheus exposition\n", argv[2]);
     return kExitOk;
@@ -248,7 +242,7 @@ int
 checkFail(const char *file, const std::string &why)
 {
     std::fprintf(stderr, "telemetry_tool: %s: %s\n", file, why.c_str());
-    return kExitCheck;
+    return kExitCheckFailed;
 }
 
 int
@@ -404,8 +398,8 @@ cmdSelftestStall(int argc, char **argv)
     if (stalls > 0 && haveEvent && haveSnapshot) {
         std::printf("watchdog detected the planted stall (exit %d, the "
                     "expected outcome)\n",
-                    kExitCheck);
-        return kExitCheck;
+                    kExitCheckFailed);
+        return kExitCheckFailed;
     }
     std::printf("watchdog did NOT detect the planted stall\n");
     return kExitOk;

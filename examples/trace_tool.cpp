@@ -34,6 +34,7 @@
 #include <string_view>
 
 #include "common/config.hh"
+#include "common/exit_codes.hh"
 #include "core/cmp_system.hh"
 #include "obs/compare.hh"
 #include "obs/json.hh"
@@ -51,13 +52,6 @@ using namespace zerodev;
 
 namespace
 {
-
-// Exit codes — keep in sync with the file header and docs.
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitCompareLoad = 3;
-constexpr int kExitRegression = 4;
 
 const char *const kUsage =
     "usage: trace_tool <subcommand> [args]\n"
@@ -258,14 +252,14 @@ cmdReplay(int argc, char **argv)
             !restoreSystemSection(snap, sys, &err)) {
             std::fprintf(stderr, "cannot restore %s: %s\n",
                          rc.restorePath.c_str(), err.c_str());
-            return kExitCompareLoad;
+            return kExitLoad;
         }
         if (!snap.has("runner")) {
             std::fprintf(stderr,
                          "cannot restore %s: snapshot has no runner "
                          "section (not a mid-run checkpoint)\n",
                          rc.restorePath.c_str());
-            return kExitCompareLoad;
+            return kExitLoad;
         }
     }
 
@@ -445,11 +439,11 @@ cmdCompare(int argc, char **argv)
     std::string err;
     if (!obs::loadReports(base_path, base, &err)) {
         std::fprintf(stderr, "cannot load baseline: %s\n", err.c_str());
-        return kExitCompareLoad;
+        return kExitLoad;
     }
     if (!obs::loadReports(cand_path, cand, &err)) {
         std::fprintf(stderr, "cannot load candidate: %s\n", err.c_str());
-        return kExitCompareLoad;
+        return kExitLoad;
     }
 
     const obs::CompareResult res = obs::compareReports(base, cand);
@@ -465,7 +459,7 @@ cmdCompare(int argc, char **argv)
     } else {
         std::printf("\n%s\n", verdict.c_str());
     }
-    return res.regression() ? kExitRegression : kExitOk;
+    return res.regression() ? kExitCheckFailed : kExitOk;
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include <string>
 #include <thread>
 
+#include "common/exit_codes.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
 #include "service/client.hh"
@@ -38,11 +39,6 @@ using namespace zerodev::service;
 
 namespace
 {
-
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitUsage = 2;
-constexpr int kExitLoad = 3;
 
 const char *const kUsage =
     "usage: zerodevctl [--socket PATH] <verb> [args]\n"

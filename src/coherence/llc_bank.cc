@@ -58,6 +58,21 @@ Llc::probe(BlockAddr block)
     return p;
 }
 
+LlcPeek
+Llc::peek(BlockAddr block) const
+{
+    LlcPeek p;
+    const auto &bank = banks_[bankOfBlock(block)];
+    const std::size_t set = setOfBlock(block);
+    for (std::uint64_t m = bank.matchMask(set, tagOfBlock(block)); m != 0;
+         m &= m - 1) {
+        const LlcLine &l =
+            bank.line(set, static_cast<std::uint32_t>(std::countr_zero(m)));
+        (l.kind == LlcLineKind::SpilledDe ? p.spilled : p.data) = &l;
+    }
+    return p;
+}
+
 void
 Llc::touchData(const LlcProbe &p)
 {

@@ -63,6 +63,13 @@ struct LlcProbe
     std::uint32_t spilledWay = 0;
 };
 
+/** Result of a read-only peek: the same lines as a probe, const. */
+struct LlcPeek
+{
+    const LlcLine *data = nullptr;
+    const LlcLine *spilled = nullptr;
+};
+
 /** Description of a line displaced by an allocation. */
 struct LlcVictim
 {
@@ -98,6 +105,13 @@ class Llc
 
     /** Locate @p block's lines in its home bank. */
     LlcProbe probe(BlockAddr block);
+
+    /** probe() for read-only callers (invariant sweeps): finds the same
+     *  lines but counts no lookup, so a sweep leaves no trace. */
+    LlcPeek peek(BlockAddr block) const;
+
+    /** Count a tag lookup made through peek() on the protocol path. */
+    void noteLookup() { ++stats_.lookups; }
 
     /** Home bank of @p block. */
     std::uint32_t bankOfBlock(BlockAddr block) const;

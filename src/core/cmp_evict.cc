@@ -202,13 +202,13 @@ CmpSystem::handleLlcVictim(Socket &s, const LlcVictim &victim, Cycle now)
         if (cfg_.sockets > 1) {
             // The socket keeps the block only if cores still cache it
             // (the entry may live in-socket or in a home memory segment).
-            Tracking trk = peekTracking(s.id, block);
+            Tracking trk = probeTracking(s, block);
             if (!trk.found() && !h.memStore.hasSegment(block, s.id))
                 socketEvictionNotice(s.id, block, !victim.dirty, now);
         } else if (!victim.dirty && h.memStore.destroyed(block)) {
             // A clean LLC copy can still be the system-wide last copy of
             // a destroyed memory block; write it back before it is lost.
-            Tracking trk = peekTracking(s.id, block);
+            Tracking trk = probeTracking(s, block);
             if (!trk.found() && !h.memStore.hasSegment(block, s.id)) {
                 h.dram.write(block, now, true);
                 send(h, MsgType::MemWrite, block);

@@ -245,7 +245,7 @@ CmpSystem::peekTracking(SocketId sid, BlockAddr block) const
             return trk;
         }
     }
-    LlcProbe p = const_cast<Llc &>(s.llc).probe(block);
+    const LlcPeek p = s.llc.peek(block);
     if (p.spilled) {
         trk.where = TrackWhere::LlcSpilled;
         trk.entry = p.spilled->de;

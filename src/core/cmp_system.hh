@@ -173,8 +173,8 @@ class CmpSystem
         return sockets_[s]->traffic;
     }
 
-    /** Tracking state of @p block within socket @p s (does not touch
-     *  recency state; safe for invariant checking). */
+    /** Tracking state of @p block within socket @p s (touches no
+     *  recency state and counts no lookup; safe for invariant checking). */
     Tracking peekTracking(SocketId s, BlockAddr block) const;
 
     /** Socket-level directory entry of a home block (multi-socket). */
@@ -388,6 +388,11 @@ class CmpSystem
 
     /** Find the in-socket tracking of @p block (touches recency). */
     Tracking findTracking(Socket &s, BlockAddr block);
+
+    /** peekTracking() on the protocol path: no recency touched, but the
+     *  LLC tag lookup counts when the peek reaches the LLC (no
+     *  directory organisation and no sparse-directory hit). */
+    Tracking probeTracking(Socket &s, BlockAddr block);
 
     /**
      * Write back the (possibly updated) tracking state of @p block.

@@ -50,6 +50,15 @@ CmpSystem::findTracking(Socket &s, BlockAddr block)
     return trk;
 }
 
+Tracking
+CmpSystem::probeTracking(Socket &s, BlockAddr block)
+{
+    const Tracking trk = peekTracking(s.id, block);
+    if (!s.dirOrg && trk.where != TrackWhere::SparseDir)
+        s.llc.noteLookup();
+    return trk;
+}
+
 void
 CmpSystem::applyOrgSet(Socket &s, BlockAddr block, const DirEntry &entry,
                        Cycle now)

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -91,7 +92,7 @@ class ObserverScope
     Cycle horizon_ = 0;
 };
 
-/** The "runner" snapshot section distinguishes the two issue engines:
+/** The "runner" snapshot section distinguishes the two issue sources:
  *  resuming a generator run from a replay checkpoint (or vice versa)
  *  would silently desynchronise, so the mode is checked. */
 constexpr std::uint8_t kRunnerModeRun = 0;
@@ -237,6 +238,138 @@ loadCheckpoint(CmpSystem &sys, std::uint8_t mode,
     return executed;
 }
 
+/** First multiple of @p every above @p executed (~0 when disabled):
+ *  every cadence stays phase-locked to the access count across resumes. */
+std::uint64_t
+nextMultiple(std::uint64_t executed, std::uint64_t every)
+{
+    return every ? (executed / every + 1) * every : ~0ull;
+}
+
+/**
+ * The one issue loop behind run() and replay(). @p next(state, executed,
+ * core, access) names the next transaction, or returns false when the
+ * source is exhausted. The loop owns
+ * everything else: per-core progress, trace recording, the invariant,
+ * checkpoint and heartbeat cadences, cooperative preemption, the
+ * planted stall and the RunResult. A source with generators (@p gens)
+ * is a run() and checkpoints their RNG streams; without, a replay.
+ */
+template <typename Source>
+RunResult
+issueLoop(CmpSystem &sys, const RunConfig &rc, const std::string &name,
+          std::uint32_t cores, std::vector<ThreadGenerator> *gens,
+          Source &&next)
+{
+    const std::uint8_t mode = gens ? kRunnerModeRun : kRunnerModeReplay;
+    // A generator core stays active until it has issued its fixed work.
+    // Trace cores are never active: the record order alone decides.
+    std::vector<CoreState> state(cores);
+    for (CoreState &cs : state)
+        cs.active = gens != nullptr;
+
+    std::unique_ptr<TraceWriter> tracer;
+    if (!rc.tracePath.empty())
+        tracer = std::make_unique<TraceWriter>(rc.tracePath, cores);
+
+    ObserverScope observers(sys, rc);
+
+    const std::uint64_t total = rc.warmupPerCore + rc.accessesPerCore;
+    std::uint64_t executed = 0;
+    if (!rc.restorePath.empty()) {
+        executed = loadCheckpoint(sys, mode, state, gens, rc.sampler,
+                                  rc.restorePath);
+    }
+    const std::uint64_t snap_every = effectiveSnapshotEvery(rc);
+    std::uint64_t next_snap = nextMultiple(executed, snap_every);
+    std::uint64_t next_check =
+        nextMultiple(executed, rc.invariantCheckInterval);
+    const std::uint64_t beat =
+        rc.telemetry ? rc.telemetry->heartbeatEvery() : 0;
+    std::uint64_t next_beat = nextMultiple(executed, beat);
+
+    bool interrupted = false;
+    std::uint32_t core = 0;
+    MemAccess a;
+    while (next(std::as_const(state), executed, core, a)) {
+        if (tracer)
+            tracer->append({core, a});
+
+        CoreState &cs = state[core];
+        const Cycle issue = cs.ready + a.gap; // 1 IPC between accesses
+        const Cycle done = sys.access(core, a.type, a.block, issue);
+        observers.advance(done);
+        cs.ready = done;
+        cs.finish = done;
+        cs.instructions += a.gap + 1;
+        ++cs.done;
+        if (cs.done >= total)
+            cs.active = false;
+
+        ++executed;
+        if (executed >= next_check) {
+            assertInvariants(sys);
+            next_check += rc.invariantCheckInterval;
+        }
+        if (executed >= next_snap) {
+            writeCheckpoint(sys, mode, state, gens, executed, rc.sampler,
+                            checkpointPath(rc.snapshotPath, executed));
+            next_snap += snap_every;
+        }
+        // Cooperative preemption: poll every 256 transactions; park a
+        // final checkpoint so the run can resume bit-identically.
+        if (rc.stopRequest && (executed & 0xffu) == 0 &&
+            rc.stopRequest->load(std::memory_order_relaxed)) {
+            if (!rc.snapshotPath.empty()) {
+                writeCheckpoint(sys, mode, state, gens, executed,
+                                rc.sampler,
+                                checkpointPath(rc.snapshotPath, executed));
+            }
+            interrupted = true;
+            break;
+        }
+        if (executed >= next_beat) {
+            rc.telemetry->progress(executed, observers.horizon());
+            if (rc.telemetry->stallSnapshotRequested()) {
+                const std::string p = rc.telemetry->claimStallSnapshot();
+                if (!p.empty()) {
+                    writeCheckpoint(sys, mode, state, gens, executed,
+                                    rc.sampler, p);
+                }
+            }
+            next_beat += beat;
+        }
+        if (rc.plantStallAt && executed == rc.plantStallAt &&
+            rc.plantStallSeconds > 0.0) {
+            std::this_thread::sleep_for(
+                std::chrono::duration<double>(rc.plantStallSeconds));
+        }
+    }
+    if (rc.telemetry)
+        rc.telemetry->progress(executed, observers.horizon());
+
+    RunResult res;
+    res.workload = name;
+    res.coreCycles.resize(cores);
+    res.coreInstructions.resize(cores);
+    for (std::uint32_t c = 0; c < cores; ++c) {
+        res.coreCycles[c] = state[c].finish;
+        res.coreInstructions[c] = state[c].instructions;
+        res.cycles = std::max(res.cycles, state[c].finish);
+        res.instructions += state[c].instructions;
+    }
+    res.coreCacheMisses = sys.protoStats().l2Misses;
+    res.trafficBytes = sys.totalTrafficBytes();
+    res.devInvalidations = sys.protoStats().devInvalidations;
+    res.devByInducer = sys.protoStats().devByInducer;
+    res.inclusionByInducer = sys.protoStats().inclusionByInducer;
+    res.accesses = sys.protoStats().accesses;
+    res.system = sys.report();
+    res.interrupted = interrupted;
+    observers.complete(res);
+    return res;
+}
+
 } // namespace
 
 double
@@ -277,217 +410,58 @@ run(CmpSystem &sys, const Workload &workload, const RunConfig &rc)
 
     std::vector<ThreadGenerator> gens;
     gens.reserve(cores);
-    std::vector<CoreState> state(cores);
-    for (std::uint32_t c = 0; c < cores; ++c) {
+    for (std::uint32_t c = 0; c < cores; ++c)
         gens.push_back(workload.makeGenerator(c));
-        state[c].active = true;
-    }
 
-    std::unique_ptr<TraceWriter> tracer;
-    if (!rc.tracePath.empty())
-        tracer = std::make_unique<TraceWriter>(rc.tracePath, cores);
-
-    ObserverScope observers(sys, rc);
-
-    const std::uint64_t total =
-        rc.warmupPerCore + rc.accessesPerCore;
-    std::uint64_t executed = 0;
-    if (!rc.restorePath.empty()) {
-        executed = loadCheckpoint(sys, kRunnerModeRun, state, &gens,
-                                  rc.sampler, rc.restorePath);
-    }
-    const std::uint64_t snap_every = effectiveSnapshotEvery(rc);
-    std::uint64_t next_snap =
-        snap_every ? (executed / snap_every + 1) * snap_every : ~0ull;
-    std::uint64_t next_check =
-        rc.invariantCheckInterval ? executed + rc.invariantCheckInterval
-                                  : ~0ull;
-    const std::uint64_t beat =
-        rc.telemetry ? rc.telemetry->heartbeatEvery() : 0;
-    std::uint64_t next_beat = beat ? (executed / beat + 1) * beat : ~0ull;
-
-    // Issue in globally non-decreasing ready-time order: a linear scan
-    // over <= 128 cores per transaction keeps the engine simple and is
-    // far from the bottleneck.
-    bool interrupted = false;
-    while (true) {
-        std::uint32_t best = cores;
-        Cycle best_t = ~0ull;
-        for (std::uint32_t c = 0; c < cores; ++c) {
-            if (state[c].active && state[c].ready < best_t) {
-                best_t = state[c].ready;
-                best = c;
-            }
-        }
-        if (best == cores)
-            break; // every core finished
-
-        CoreState &cs = state[best];
-        const MemAccess a = gens[best].next();
-        if (tracer)
-            tracer->append({best, a});
-
-        const Cycle issue = cs.ready + a.gap; // 1 IPC between accesses
-        const Cycle done = sys.access(best, a.type, a.block, issue);
-        observers.advance(done);
-        cs.ready = done;
-        cs.finish = done;
-        cs.instructions += a.gap + 1;
-        ++cs.done;
-        if (cs.done >= total)
-            cs.active = false;
-
-        ++executed;
-        if (executed >= next_check) {
-            assertInvariants(sys);
-            next_check += rc.invariantCheckInterval;
-        }
-        if (executed >= next_snap) {
-            writeCheckpoint(sys, kRunnerModeRun, state, &gens, executed,
-                            rc.sampler,
-                            checkpointPath(rc.snapshotPath, executed));
-            next_snap += snap_every;
-        }
-        // Cooperative preemption: poll every 256 transactions; park a
-        // final checkpoint so the run can resume bit-identically.
-        if (rc.stopRequest && (executed & 0xffu) == 0 &&
-            rc.stopRequest->load(std::memory_order_relaxed)) {
-            if (!rc.snapshotPath.empty()) {
-                writeCheckpoint(
-                    sys, kRunnerModeRun, state, &gens, executed,
-                    rc.sampler,
-                    checkpointPath(rc.snapshotPath, executed));
-            }
-            interrupted = true;
-            break;
-        }
-        if (executed >= next_beat) {
-            rc.telemetry->progress(executed, observers.horizon());
-            if (rc.telemetry->stallSnapshotRequested()) {
-                const std::string p = rc.telemetry->claimStallSnapshot();
-                if (!p.empty()) {
-                    writeCheckpoint(sys, kRunnerModeRun, state, &gens,
-                                    executed, rc.sampler, p);
+    // Issue in globally non-decreasing ready-time order, ties to the
+    // lowest core id: a linear scan over <= 128 cores per transaction
+    // keeps the engine simple and is far from the bottleneck.
+    return issueLoop(
+        sys, rc, workload.name(), cores, &gens,
+        [&](const std::vector<CoreState> &state, std::uint64_t,
+            std::uint32_t &core, MemAccess &a) {
+            std::uint32_t best = cores;
+            Cycle best_t = ~0ull;
+            for (std::uint32_t c = 0; c < cores; ++c) {
+                if (state[c].active && state[c].ready < best_t) {
+                    best_t = state[c].ready;
+                    best = c;
                 }
             }
-            next_beat += beat;
-        }
-        if (rc.plantStallAt && executed == rc.plantStallAt &&
-            rc.plantStallSeconds > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(rc.plantStallSeconds));
-        }
-    }
-    if (rc.telemetry)
-        rc.telemetry->progress(executed, observers.horizon());
-
-    RunResult res;
-    res.workload = workload.name();
-    res.coreCycles.resize(cores);
-    res.coreInstructions.resize(cores);
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        res.coreCycles[c] = state[c].finish;
-        res.coreInstructions[c] = state[c].instructions;
-        res.cycles = std::max(res.cycles, state[c].finish);
-        res.instructions += state[c].instructions;
-    }
-    res.coreCacheMisses = sys.protoStats().l2Misses;
-    res.trafficBytes = sys.totalTrafficBytes();
-    res.devInvalidations = sys.protoStats().devInvalidations;
-    res.devByInducer = sys.protoStats().devByInducer;
-    res.inclusionByInducer = sys.protoStats().inclusionByInducer;
-    res.accesses = sys.protoStats().accesses;
-    res.system = sys.report();
-    res.interrupted = interrupted;
-    observers.complete(res);
-    return res;
+            if (best == cores)
+                return false; // every core finished
+            core = best;
+            a = gens[best].next();
+            return true;
+        });
 }
 
 RunResult
 replay(CmpSystem &sys, const TraceReader &trace, const RunConfig &rc)
 {
     const std::uint32_t cores = trace.cores();
-    std::vector<CoreState> state(cores);
-    ObserverScope observers(sys, rc);
-
-    std::uint64_t executed = 0;
-    if (!rc.restorePath.empty()) {
-        executed = loadCheckpoint(sys, kRunnerModeReplay, state, nullptr,
-                                  rc.sampler, rc.restorePath);
-    }
-    const std::uint64_t snap_every = effectiveSnapshotEvery(rc);
-    std::uint64_t next_snap =
-        snap_every ? (executed / snap_every + 1) * snap_every : ~0ull;
-    const std::uint64_t beat =
-        rc.telemetry ? rc.telemetry->heartbeatEvery() : 0;
-    std::uint64_t next_beat = beat ? (executed / beat + 1) * beat : ~0ull;
-
     const std::vector<TraceRecord> &records = trace.records();
-    if (executed > records.size()) {
-        fatal("checkpoint is %llu records in, but the trace has only %zu",
-              static_cast<unsigned long long>(executed), records.size());
-    }
-    for (std::size_t i = executed; i < records.size(); ++i) {
-        const TraceRecord &rec = records[i];
-        if (rec.core >= cores)
-            fatal("trace record references core %u of %u", rec.core,
-                  cores);
-        CoreState &cs = state[rec.core];
-        const Cycle issue = cs.ready + rec.access.gap;
-        const Cycle done =
-            sys.access(rec.core, rec.access.type, rec.access.block, issue);
-        observers.advance(done);
-        cs.ready = done;
-        cs.finish = done;
-        cs.instructions += rec.access.gap + 1;
-        ++cs.done;
-
-        ++executed;
-        if (executed >= next_snap) {
-            writeCheckpoint(sys, kRunnerModeReplay, state, nullptr,
-                            executed, rc.sampler,
-                            checkpointPath(rc.snapshotPath, executed));
-            next_snap += snap_every;
-        }
-        if (executed >= next_beat) {
-            rc.telemetry->progress(executed, observers.horizon());
-            if (rc.telemetry->stallSnapshotRequested()) {
-                const std::string p = rc.telemetry->claimStallSnapshot();
-                if (!p.empty()) {
-                    writeCheckpoint(sys, kRunnerModeReplay, state,
-                                    nullptr, executed, rc.sampler, p);
+    return issueLoop(
+        sys, rc, "trace", cores, nullptr,
+        [&](const std::vector<CoreState> &, std::uint64_t executed,
+            std::uint32_t &core, MemAccess &a) {
+            if (executed >= records.size()) {
+                if (executed > records.size()) {
+                    fatal("checkpoint is %llu records in, but the trace "
+                          "has only %zu",
+                          static_cast<unsigned long long>(executed),
+                          records.size());
                 }
+                return false;
             }
-            next_beat += beat;
-        }
-        if (rc.plantStallAt && executed == rc.plantStallAt &&
-            rc.plantStallSeconds > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(rc.plantStallSeconds));
-        }
-    }
-    if (rc.telemetry)
-        rc.telemetry->progress(executed, observers.horizon());
-
-    RunResult res;
-    res.workload = "trace";
-    res.coreCycles.resize(cores);
-    res.coreInstructions.resize(cores);
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        res.coreCycles[c] = state[c].finish;
-        res.coreInstructions[c] = state[c].instructions;
-        res.cycles = std::max(res.cycles, state[c].finish);
-        res.instructions += state[c].instructions;
-    }
-    res.coreCacheMisses = sys.protoStats().l2Misses;
-    res.trafficBytes = sys.totalTrafficBytes();
-    res.devInvalidations = sys.protoStats().devInvalidations;
-    res.devByInducer = sys.protoStats().devByInducer;
-    res.inclusionByInducer = sys.protoStats().inclusionByInducer;
-    res.accesses = sys.protoStats().accesses;
-    res.system = sys.report();
-    observers.complete(res);
-    return res;
+            const TraceRecord &rec = records[executed];
+            if (rec.core >= cores)
+                fatal("trace record references core %u of %u", rec.core,
+                      cores);
+            core = rec.core;
+            a = rec.access;
+            return true;
+        });
 }
 
 } // namespace zerodev

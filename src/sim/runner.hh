@@ -6,6 +6,15 @@
  * per-core progress, and extracts the metrics the paper's figures use
  * (execution cycles, weighted speedup inputs, core cache misses,
  * interconnect traffic).
+ *
+ * run() and replay() share one issue loop and differ only in where the
+ * next (core, access) comes from: the earliest-ready core's workload
+ * generator (ties to the lowest core id), or the next trace record. The
+ * loop owns trace recording, the invariant / checkpoint / heartbeat
+ * cadences (phase-locked to the global access count), the stopRequest
+ * poll and the RunResult, so a replay gets the same sweeps, checkpoints
+ * and preemption as a run. The Differ and the side-channel lab keep their own loops: they
+ * issue on one clock per system rather than per-core ready times.
  */
 
 #ifndef ZERODEV_SIM_RUNNER_HH

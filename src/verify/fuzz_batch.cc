@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/exit_codes.hh"
 #include "common/parallel.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
@@ -21,10 +22,6 @@ namespace zerodev::verify
 
 namespace
 {
-
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;
-constexpr int kExitDivergence = 4;
 
 struct SeedOutcome
 {
@@ -282,7 +279,7 @@ runFuzzBatch(const FuzzBatchOptions &opt)
                 out.cancelled ? " (cancelled)" : "",
                 out.reportPath.c_str());
     out.divergence = bad != nullptr;
-    out.exitCode = bad ? kExitDivergence : kExitOk;
+    out.exitCode = bad ? kExitCheckFailed : kExitOk;
     if (!bad)
         std::printf("no divergence\n");
     return out;

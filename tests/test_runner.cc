@@ -2,17 +2,26 @@
  * @file
  * Tests for the simulation runner and experiment helpers: fixed-work
  * execution, determinism, speedup/weighted-speedup arithmetic, trace
- * record-replay equivalence and the energy model's monotonicity.
+ * record-replay equivalence, the issue loop's cadences and preemption
+ * for both sources (generators and traces), state-neutral invariant
+ * sweeps and the energy model's monotonicity.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "common/serialize.hh"
 #include "core/energy_model.hh"
+#include "interconnect/mesh.hh"
+#include "obs/report.hh"
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "test_util.hh"
+#include "verify/differ.hh"
 
 namespace zerodev
 {
@@ -91,6 +100,132 @@ TEST(Runner, TraceReplayMatchesLiveRun)
     EXPECT_EQ(r_live.cycles, r_replay.cycles);
     EXPECT_EQ(r_live.trafficBytes, r_replay.trafficBytes);
     std::remove(path.c_str());
+}
+
+std::string
+tmpPath(const std::string &name)
+{
+    return ::testing::TempDir() + "zdev_runner_" + name;
+}
+
+/** Record @p per_core accesses per core of canneal on @p cfg. */
+TraceReader
+recordTrace(const SystemConfig &cfg, std::uint64_t per_core,
+            const std::string &path)
+{
+    RunConfig rc;
+    rc.accessesPerCore = per_core;
+    rc.tracePath = path;
+    CmpSystem sys(cfg);
+    run(sys,
+        Workload::multiThreaded(profileByName("canneal"), sys.totalCores()),
+        rc);
+    return TraceReader::mustLoad(path);
+}
+
+std::vector<std::uint8_t>
+stateBytes(const CmpSystem &sys)
+{
+    SerialOut out;
+    sys.saveState(out);
+    return out.data();
+}
+
+/** Run report with the only host-dependent field zeroed. */
+std::string
+reportFor(const SystemConfig &cfg, RunResult res)
+{
+    res.wallSeconds = 0.0;
+    return obs::runReportJson(cfg, res);
+}
+
+#if ZERODEV_ASSERTS
+TEST(Runner, ReplayHonoursTheInvariantCadence)
+{
+    // A leaked pool message stands in for a protocol bug; the periodic
+    // sweep of a replay must trip over it just as run()'s does.
+    const SystemConfig cfg = testutil::tinyZeroDev(0.125);
+    const std::string trc = tmpPath("cadence.trc");
+    const TraceReader trace = recordTrace(cfg, 500, trc);
+    std::remove(trc.c_str());
+
+    CmpSystem sys(cfg);
+    const_cast<Mesh &>(sys.mesh(0)).msgPool().acquire();
+    RunConfig rc;
+    rc.invariantCheckInterval = 300;
+    EXPECT_DEATH(replay(sys, trace, rc), "message-pool-leak");
+}
+#endif // ZERODEV_ASSERTS
+
+TEST(Runner, ReplayHonoursStopRequest)
+{
+    const SystemConfig cfg = testutil::tinyZeroDev(0.125);
+    const std::string trc = tmpPath("stop.trc");
+    const TraceReader trace = recordTrace(cfg, 1000, trc);
+    std::remove(trc.c_str());
+
+    CmpSystem refSys(cfg);
+    const RunResult ref = replay(refSys, trace, RunConfig{});
+    ASSERT_FALSE(ref.interrupted);
+
+    // A stop raised before the replay starts lands on the first poll.
+    const std::string ckpt = tmpPath("stop.snap");
+    std::remove(ckpt.c_str());
+    const std::atomic<bool> stop{true};
+    RunConfig leg1;
+    leg1.stopRequest = &stop;
+    leg1.snapshotPath = ckpt;
+    CmpSystem sys1(cfg);
+    const RunResult r1 = replay(sys1, trace, leg1);
+    EXPECT_TRUE(r1.interrupted);
+    EXPECT_LT(r1.accesses, ref.accesses);
+
+    RunConfig leg2;
+    leg2.restorePath = ckpt; // fatal if the stop wrote no checkpoint
+    CmpSystem sys2(cfg);
+    const RunResult r2 = replay(sys2, trace, leg2);
+    EXPECT_FALSE(r2.interrupted);
+    EXPECT_EQ(r2.cycles, ref.cycles);
+    EXPECT_EQ(r2.coreCycles, ref.coreCycles);
+    EXPECT_EQ(r2.coreInstructions, ref.coreInstructions);
+    EXPECT_EQ(r2.accesses, ref.accesses);
+    EXPECT_EQ(reportFor(cfg, r2), reportFor(cfg, ref));
+    EXPECT_EQ(stateBytes(sys2), stateBytes(refSys));
+    std::remove(ckpt.c_str());
+}
+
+TEST(Runner, InvariantSweepsChangeNoState)
+{
+    // A swept run must serialize to the same bytes and render the same
+    // report as an unswept one, on every variant and for both sources:
+    // sweeps observe the system, they do not count as its activity.
+    for (const verify::Variant &v : verify::Differ::standardVariants(4)) {
+        SCOPED_TRACE(v.name);
+        const Workload w =
+            Workload::multiThreaded(profileByName("canneal"), 4);
+        const std::string trc = tmpPath("swept_" + v.name + ".trc");
+        RunConfig plain;
+        plain.accessesPerCore = 1500;
+        plain.tracePath = trc;
+        RunConfig swept = plain;
+        swept.invariantCheckInterval = 1000;
+        swept.tracePath.clear();
+
+        CmpSystem a(v.cfg), b(v.cfg);
+        const RunResult ra = run(a, w, plain);
+        const RunResult rb = run(b, w, swept);
+        EXPECT_EQ(stateBytes(a), stateBytes(b));
+        EXPECT_EQ(reportFor(v.cfg, ra), reportFor(v.cfg, rb));
+
+        const TraceReader trace = TraceReader::mustLoad(trc);
+        std::remove(trc.c_str());
+        plain.tracePath.clear();
+        CmpSystem c(v.cfg), d(v.cfg);
+        const RunResult rc = replay(c, trace, plain);
+        const RunResult rd = replay(d, trace, swept);
+        EXPECT_EQ(stateBytes(c), stateBytes(d));
+        EXPECT_EQ(reportFor(v.cfg, rc), reportFor(v.cfg, rd));
+    }
 }
 
 TEST(Experiment, SpeedupArithmetic)
