@@ -5,52 +5,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace zerodev::obs
 {
 
-std::size_t
-metricShardIndex()
-{
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t idx =
-        next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-    return idx;
-}
-
-namespace
-{
-
-/** fetch_add for a double stored as bits (CAS loop). Unused in
- *  ZERODEV_METRICS=OFF builds, where observe() compiles to nothing. */
-[[maybe_unused]] void
-atomicAddDouble(std::atomic<std::uint64_t> &bits, double delta)
-{
-    std::uint64_t old = bits.load(std::memory_order_relaxed);
-    for (;;) {
-        double cur;
-        __builtin_memcpy(&cur, &old, sizeof cur);
-        const double next = cur + delta;
-        std::uint64_t nextBits;
-        __builtin_memcpy(&nextBits, &next, sizeof nextBits);
-        if (bits.compare_exchange_weak(old, nextBits,
-                                       std::memory_order_relaxed))
-            return;
-    }
-}
-
-double
-doubleFromBits(std::uint64_t bits)
-{
-    double v;
-    __builtin_memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-/** Render a double the way Prometheus expects: shortest %g spelling
- *  that round-trips exactly (so a 0.1 bucket bound reads `le="0.1"`,
- *  not 17 digits of noise). Integral values keep an integer spelling
- *  for readability. */
 std::string
 promNumber(double v)
 {
@@ -73,239 +33,6 @@ promNumber(double v)
     }
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return buf;
-}
-
-/** `name{labels}` or bare `name`; @p extra is appended inside the
- *  braces after the series labels (used for histogram `le`). */
-std::string
-sampleName(const std::string &name, const std::string &labels,
-           const std::string &extra = "")
-{
-    std::string body = labels;
-    if (!extra.empty()) {
-        if (!body.empty())
-            body += ",";
-        body += extra;
-    }
-    if (body.empty())
-        return name;
-    return name + "{" + body + "}";
-}
-
-const char *
-kindName(Metric::Kind k)
-{
-    switch (k) {
-      case Metric::Kind::Counter:
-        return "counter";
-      case Metric::Kind::Gauge:
-        return "gauge";
-      case Metric::Kind::Histogram:
-        return "histogram";
-    }
-    return "untyped";
-}
-
-[[noreturn]] void
-kindMismatch(const std::string &name)
-{
-    std::fprintf(stderr,
-                 "zerodev: metric '%s' re-registered with a different "
-                 "kind\n",
-                 name.c_str());
-    std::abort();
-}
-
-} // namespace
-
-HistogramMetric::HistogramMetric(std::string name, std::string labels,
-                                 std::string help,
-                                 std::vector<double> bounds,
-                                 const std::atomic<bool> *enabled)
-    : Metric(Kind::Histogram, std::move(name), std::move(labels),
-             std::move(help), enabled),
-      bounds_(std::move(bounds)), shards_(kMetricShards)
-{
-    for (Shard &s : shards_)
-        s.buckets = std::vector<std::atomic<std::uint64_t>>(
-            bounds_.size() + 1);
-}
-
-void
-HistogramMetric::observe(double v)
-{
-#if ZERODEV_METRICS
-    if (!live())
-        return;
-    std::size_t b = 0;
-    while (b < bounds_.size() && v > bounds_[b])
-        ++b;
-    Shard &s = shards_[metricShardIndex()];
-    s.buckets[b].fetch_add(1, std::memory_order_relaxed);
-    atomicAddDouble(s.sumBits, v);
-#else
-    (void)v;
-#endif
-}
-
-HistogramMetric::Snapshot
-HistogramMetric::snapshot() const
-{
-    Snapshot snap;
-    snap.bounds = bounds_;
-    snap.counts.assign(bounds_.size() + 1, 0);
-    for (const Shard &s : shards_) {
-        for (std::size_t b = 0; b < snap.counts.size(); ++b)
-            snap.counts[b] +=
-                s.buckets[b].load(std::memory_order_relaxed);
-        snap.sum += doubleFromBits(
-            s.sumBits.load(std::memory_order_relaxed));
-    }
-    for (const std::uint64_t c : snap.counts)
-        snap.count += c;
-    return snap;
-}
-
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry reg;
-    return reg;
-}
-
-Metric *
-MetricsRegistry::find(const std::string &name,
-                      const std::string &labels) const
-{
-    for (const std::unique_ptr<Metric> &m : series_) {
-        if (m->name() == name && m->labels() == labels)
-            return m.get();
-    }
-    return nullptr;
-}
-
-Counter *
-MetricsRegistry::counter(const std::string &name, const std::string &help,
-                         const std::string &labels)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (Metric *m = find(name, labels)) {
-        if (m->kind() != Metric::Kind::Counter)
-            kindMismatch(name);
-        return static_cast<Counter *>(m);
-    }
-    series_.emplace_back(new Counter(name, labels, help, &enabled_));
-    return static_cast<Counter *>(series_.back().get());
-}
-
-Gauge *
-MetricsRegistry::gauge(const std::string &name, const std::string &help,
-                       const std::string &labels)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (Metric *m = find(name, labels)) {
-        if (m->kind() != Metric::Kind::Gauge)
-            kindMismatch(name);
-        return static_cast<Gauge *>(m);
-    }
-    series_.emplace_back(new Gauge(name, labels, help, &enabled_));
-    return static_cast<Gauge *>(series_.back().get());
-}
-
-HistogramMetric *
-MetricsRegistry::histogram(const std::string &name,
-                           const std::string &help,
-                           std::vector<double> bounds,
-                           const std::string &labels)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (Metric *m = find(name, labels)) {
-        if (m->kind() != Metric::Kind::Histogram)
-            kindMismatch(name);
-        return static_cast<HistogramMetric *>(m);
-    }
-    series_.emplace_back(new HistogramMetric(name, labels, help,
-                                             std::move(bounds),
-                                             &enabled_));
-    return static_cast<HistogramMetric *>(series_.back().get());
-}
-
-std::size_t
-MetricsRegistry::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return series_.size();
-}
-
-std::string
-MetricsRegistry::prometheusText() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::ostringstream out;
-    // Group same-name series behind one HELP/TYPE block, preserving
-    // first-registration order of the names.
-    std::vector<std::string> names;
-    for (const std::unique_ptr<Metric> &m : series_) {
-        bool seen = false;
-        for (const std::string &n : names)
-            seen = seen || n == m->name();
-        if (!seen)
-            names.push_back(m->name());
-    }
-    for (const std::string &name : names) {
-        bool headered = false;
-        for (const std::unique_ptr<Metric> &m : series_) {
-            if (m->name() != name)
-                continue;
-            if (!headered) {
-                out << "# HELP " << name << " " << m->help() << "\n";
-                out << "# TYPE " << name << " "
-                    << kindName(m->kind()) << "\n";
-                headered = true;
-            }
-            switch (m->kind()) {
-              case Metric::Kind::Counter:
-                out << sampleName(name, m->labels()) << " "
-                    << static_cast<const Counter *>(m.get())->value()
-                    << "\n";
-                break;
-              case Metric::Kind::Gauge:
-                out << sampleName(name, m->labels()) << " "
-                    << promNumber(
-                           static_cast<const Gauge *>(m.get())->value())
-                    << "\n";
-                break;
-              case Metric::Kind::Histogram: {
-                const HistogramMetric::Snapshot snap =
-                    static_cast<const HistogramMetric *>(m.get())->snapshot();
-                std::uint64_t cum = 0;
-                for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-                    cum += snap.counts[b];
-                    const std::string le =
-                        b < snap.bounds.size()
-                            ? promNumber(snap.bounds[b])
-                            : "+Inf";
-                    out << sampleName(name + "_bucket", m->labels(),
-                                      "le=\"" + le + "\"")
-                        << " " << cum << "\n";
-                }
-                out << sampleName(name + "_sum", m->labels()) << " "
-                    << promNumber(snap.sum) << "\n";
-                out << sampleName(name + "_count", m->labels()) << " "
-                    << snap.count << "\n";
-                break;
-              }
-            }
-        }
-    }
-    return out.str();
-}
-
-void
-MetricsRegistry::resetForTesting()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    series_.clear();
 }
 
 namespace

@@ -1,278 +1,26 @@
 /**
  * @file
- * Live-telemetry metrics registry: counters, gauges and histograms with
- * per-thread sharded slots.
+ * Prometheus text exposition helpers: the number spelling the telemetry
+ * sink renders metrics.prom with, and a grammar checker that validates
+ * such a file from outside the program (`telemetry_tool check-prom`).
  *
- * The hot path (a worker thread bumping a counter) is lock-free: each
- * thread owns one of kMetricShards cache-line-padded atomic slots per
- * series and increments it with a relaxed fetch_add; aggregation across
- * shards happens only at scrape time, so a publisher thread rendering
- * the Prometheus exposition never blocks the simulation workers.
- *
- * Registration (MetricsRegistry::counter / gauge / histogram) is
- * mutex-protected and idempotent: asking for an existing (name, labels)
- * series returns the same handle, so components can "re-register" their
- * series without coordination. Handles stay valid for the registry's
- * lifetime (series storage never moves).
- *
- * The registry is runtime-switchable (setEnabled) and, like the
- * coherence trace hooks, compiles to nothing when the ZERODEV_METRICS
- * CMake option is OFF: every mutation method becomes an empty inline and
- * the ZDEV_METRIC_* macros expand to no-ops, so the 10x sim-rate push
- * is never taxed by instrumentation it does not want.
+ * The series themselves are rendered by the TelemetrySink from its own
+ * job table at scrape time (obs/telemetry.hh).
  */
 
 #ifndef ZERODEV_OBS_METRICS_HH
 #define ZERODEV_OBS_METRICS_HH
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
-
-#ifndef ZERODEV_METRICS
-#define ZERODEV_METRICS 1
-#endif
 
 namespace zerodev::obs
 {
 
-/** Shard count per series; threads hash onto shards round-robin. */
-constexpr std::size_t kMetricShards = 16;
-
-/** This thread's shard slot, assigned round-robin on first use. */
-std::size_t metricShardIndex();
-
-/** One cache-line-padded atomic cell. */
-struct alignas(64) MetricShard
-{
-    std::atomic<std::uint64_t> value{0};
-};
-
-class MetricsRegistry;
-
-/** Base of every registered series: identity plus the enabled gate. */
-class Metric
-{
-  public:
-    enum class Kind : std::uint8_t
-    {
-        Counter,
-        Gauge,
-        Histogram,
-    };
-
-    virtual ~Metric() = default;
-
-    const std::string &name() const { return name_; }
-    const std::string &labels() const { return labels_; }
-    const std::string &help() const { return help_; }
-    Kind kind() const { return kind_; }
-
-  protected:
-    Metric(Kind kind, std::string name, std::string labels,
-           std::string help, const std::atomic<bool> *enabled)
-        : kind_(kind), name_(std::move(name)), labels_(std::move(labels)),
-          help_(std::move(help)), enabled_(enabled)
-    {
-    }
-
-    bool
-    live() const
-    {
-        return enabled_->load(std::memory_order_relaxed);
-    }
-
-  private:
-    Kind kind_;
-    std::string name_;
-    std::string labels_;
-    std::string help_;
-    const std::atomic<bool> *enabled_;
-};
-
-/** Monotonic counter; add() is lock-free on a per-thread shard. */
-class Counter : public Metric
-{
-  public:
-    void
-    add(std::uint64_t delta)
-    {
-#if ZERODEV_METRICS
-        if (live()) {
-            shards_[metricShardIndex()].value.fetch_add(
-                delta, std::memory_order_relaxed);
-        }
-#else
-        (void)delta;
-#endif
-    }
-
-    void inc() { add(1); }
-
-    /** Aggregate over all shards (scrape path). */
-    std::uint64_t
-    value() const
-    {
-        std::uint64_t sum = 0;
-        for (const MetricShard &s : shards_)
-            sum += s.value.load(std::memory_order_relaxed);
-        return sum;
-    }
-
-  private:
-    friend class MetricsRegistry;
-    Counter(std::string name, std::string labels, std::string help,
-            const std::atomic<bool> *enabled)
-        : Metric(Kind::Counter, std::move(name), std::move(labels),
-                 std::move(help), enabled)
-    {
-    }
-
-    MetricShard shards_[kMetricShards];
-};
-
-/** Last-write-wins instantaneous value (stored as IEEE-754 bits). */
-class Gauge : public Metric
-{
-  public:
-    void
-    set(double v)
-    {
-#if ZERODEV_METRICS
-        if (live()) {
-            std::uint64_t bits;
-            static_assert(sizeof bits == sizeof v);
-            __builtin_memcpy(&bits, &v, sizeof bits);
-            bits_.store(bits, std::memory_order_relaxed);
-        }
-#else
-        (void)v;
-#endif
-    }
-
-    double
-    value() const
-    {
-        const std::uint64_t bits = bits_.load(std::memory_order_relaxed);
-        double v;
-        __builtin_memcpy(&v, &bits, sizeof v);
-        return v;
-    }
-
-  private:
-    friend class MetricsRegistry;
-    Gauge(std::string name, std::string labels, std::string help,
-          const std::atomic<bool> *enabled)
-        : Metric(Kind::Gauge, std::move(name), std::move(labels),
-                 std::move(help), enabled)
-    {
-    }
-
-    std::atomic<std::uint64_t> bits_{0};
-};
-
-/** Fixed-bound histogram (Prometheus classic buckets). observe() is
- *  lock-free: one shard-local bucket increment plus a CAS-add into the
- *  shard-local sum. */
-class HistogramMetric : public Metric
-{
-  public:
-    void observe(double v);
-
-    struct Snapshot
-    {
-        std::vector<double> bounds;        //!< upper bounds, ascending
-        std::vector<std::uint64_t> counts; //!< per bucket (non-cumulative,
-                                           //!< one extra for +Inf)
-        double sum = 0.0;
-        std::uint64_t count = 0;
-    };
-
-    Snapshot snapshot() const;
-
-    const std::vector<double> &bounds() const { return bounds_; }
-
-  private:
-    friend class MetricsRegistry;
-    HistogramMetric(std::string name, std::string labels, std::string help,
-              std::vector<double> bounds,
-              const std::atomic<bool> *enabled);
-
-    struct alignas(64) Shard
-    {
-        std::vector<std::atomic<std::uint64_t>> buckets; //!< bounds+1
-        std::atomic<std::uint64_t> sumBits{0};           //!< double bits
-    };
-
-    std::vector<double> bounds_;
-    std::vector<Shard> shards_;
-};
-
-/**
- * The central registry. One process-wide instance (global()) backs the
- * telemetry sink; tests construct private registries freely.
- */
-class MetricsRegistry
-{
-  public:
-    MetricsRegistry() = default;
-    MetricsRegistry(const MetricsRegistry &) = delete;
-    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    /** The process-wide registry the telemetry sink scrapes. */
-    static MetricsRegistry &global();
-
-    /** Runtime master switch; mutations are dropped while disabled. */
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-    void
-    setEnabled(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
-
-    /**
-     * Register (or look up) a series. @p labels is a pre-rendered
-     * Prometheus label body such as `job="smoke_run0000"` (empty for an
-     * unlabelled series); series with the same name share one HELP/TYPE
-     * block in the exposition. Asking for an existing series with a
-     * different kind is fatal.
-     */
-    Counter *counter(const std::string &name, const std::string &help,
-                     const std::string &labels = "");
-    Gauge *gauge(const std::string &name, const std::string &help,
-                 const std::string &labels = "");
-    HistogramMetric *histogram(const std::string &name,
-                               const std::string &help,
-                               std::vector<double> bounds,
-                               const std::string &labels = "");
-
-    /** Series count (tests). */
-    std::size_t size() const;
-
-    /**
-     * Render the Prometheus text exposition (version 0.0.4): one
-     * HELP/TYPE block per metric name in registration order, then one
-     * sample line per series (histograms expand to _bucket/_sum/_count).
-     */
-    std::string prometheusText() const;
-
-    /** Drop every series (tests only; outstanding handles dangle). */
-    void resetForTesting();
-
-  private:
-    Metric *find(const std::string &name, const std::string &labels) const;
-
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<Metric>> series_; //!< registration order
-    std::atomic<bool> enabled_{true};
-};
+/** Render a double the way Prometheus expects: the shortest %g spelling
+ *  that round-trips exactly (so a 0.1 bucket bound reads `le="0.1"`,
+ *  not 17 digits of noise), integral values as integers, and
+ *  `+Inf`/`-Inf`/`NaN` for the non-finite ones. */
+std::string promNumber(double v);
 
 /**
  * Validate a Prometheus text exposition: HELP/TYPE comment syntax,
@@ -282,25 +30,6 @@ class MetricsRegistry
  */
 bool checkPrometheusText(const std::string &text,
                          std::string *err = nullptr);
-
-// Hot-path instrumentation macros: compiled out entirely when the
-// ZERODEV_METRICS CMake option is OFF. @p m is a Counter*/Gauge* that
-// may be null (instrumentation point without a registered series).
-#if ZERODEV_METRICS
-#define ZDEV_METRIC_ADD(m, delta)                                       \
-    do {                                                                \
-        if (m)                                                          \
-            (m)->add(delta);                                            \
-    } while (0)
-#define ZDEV_METRIC_SET(m, v)                                           \
-    do {                                                                \
-        if (m)                                                          \
-            (m)->set(v);                                                \
-    } while (0)
-#else
-#define ZDEV_METRIC_ADD(m, delta) ((void)0)
-#define ZDEV_METRIC_SET(m, v) ((void)0)
-#endif
 
 } // namespace zerodev::obs
 

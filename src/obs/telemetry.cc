@@ -2,12 +2,15 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 
 #include <unistd.h>
 
 #include "common/log.hh"
 #include "obs/json.hh"
 #include "obs/latency.hh"
+#include "obs/metrics.hh"
 #include "obs/report.hh"
 #include "sim/runner.hh"
 
@@ -73,6 +76,55 @@ envDouble(const char *var, double dflt)
     return (end && *end == '\0' && parsed >= 0.0) ? parsed : dflt;
 }
 
+/** Add @p v element-wise into @p sum, growing it as needed. */
+void
+addInto(std::vector<std::uint64_t> &sum, const std::vector<std::uint64_t> &v)
+{
+    if (sum.size() < v.size())
+        sum.resize(v.size(), 0);
+    for (std::size_t i = 0; i < v.size(); ++i)
+        sum[i] += v[i];
+}
+
+/** One HELP/TYPE header of the exposition. */
+void
+promHeader(std::string &out, const char *name, const char *type,
+           const char *help)
+{
+    out += std::string("# HELP ") + name + " " + help + "\n# TYPE " +
+           name + " " + type + "\n";
+}
+
+/** One labelless sample line. */
+void
+promSample(std::string &out, const std::string &name, const std::string &value)
+{
+    out += name + " " + value + "\n";
+}
+
+/** A counter family of one labelless series. */
+void
+promCounter(std::string &out, const char *name, const char *help,
+            std::uint64_t value)
+{
+    promHeader(out, name, "counter", help);
+    promSample(out, name, std::to_string(value));
+}
+
+/** A per-inducing-core counter family. */
+void
+promInducers(std::string &out, const char *name, const char *help,
+             const std::vector<std::uint64_t> &byCore)
+{
+    promHeader(out, name, "counter", help);
+    for (std::size_t c = 0; c < byCore.size(); ++c) {
+        promSample(out,
+                   std::string(name) + "{inducing_core=\"" +
+                       std::to_string(c) + "\"}",
+                   std::to_string(byCore[c]));
+    }
+}
+
 } // namespace
 
 JobCompletion
@@ -84,6 +136,8 @@ completionOf(const RunResult &res)
     c.cycles = res.cycles;
     c.wallSeconds = res.wallSeconds;
     c.maccessesPerSecond = res.maccessesPerSecond();
+    c.devByInducer = res.devByInducer;
+    c.inclusionByInducer = res.inclusionByInducer;
     for (std::size_t i = 0; i < LatencyBreakdown::kNumComps; ++i) {
         const std::uint64_t cycles = res.latency.components[i].cycles;
         if (cycles) {
@@ -96,14 +150,21 @@ completionOf(const RunResult &res)
 
 TelemetryJob::TelemetryJob(std::string name, std::string figure,
                            std::string fingerprint, std::uint64_t total,
-                           std::uint64_t heartbeatEvery,
-                           Counter *accessesTotal)
+                           std::uint64_t heartbeatEvery)
     : name_(std::move(name)), figure_(std::move(figure)),
       fingerprint_(std::move(fingerprint)), total_(total),
       heartbeatEvery_(heartbeatEvery ? heartbeatEvery : 1),
-      start_(std::chrono::steady_clock::now()),
-      accessesTotal_(accessesTotal), watchLastChange_(start_)
+      start_(std::chrono::steady_clock::now()), watchLastChange_(start_)
 {
+}
+
+void
+TelemetryJob::provenance(const std::vector<std::uint64_t> &devByInducer,
+                         const std::vector<std::uint64_t> &inclusionByInducer)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    devByInducer_ = devByInducer;
+    inclusionByInducer_ = inclusionByInducer;
 }
 
 void
@@ -112,14 +173,18 @@ TelemetryJob::complete(const JobCompletion &c)
     {
         std::lock_guard<std::mutex> lock(mu_);
         completion_ = c;
+        // A completion without provenance (a sweep task, an interrupted
+        // run) keeps what the last heartbeat published.
+        if (!c.devByInducer.empty())
+            devByInducer_ = c.devByInducer;
+        if (!c.inclusionByInducer.empty())
+            inclusionByInducer_ = c.inclusionByInducer;
     }
-    // Fold the tail of the run (accesses since the last heartbeat) into
-    // the shared counter so zerodev_accesses_total ends exact.
-    if (c.accesses > counted_) {
-        ZDEV_METRIC_ADD(accessesTotal_, c.accesses - counted_);
-        counted_ = c.accesses;
-    }
-    done_.store(c.accesses, std::memory_order_relaxed);
+    // done_ never moves back: a failed completion may carry fewer
+    // accesses than its heartbeats already reported, and
+    // zerodev_accesses_total is a counter.
+    if (c.accesses > accessesDone())
+        done_.store(c.accesses, std::memory_order_relaxed);
     state_.store(static_cast<std::uint8_t>(c.failed ? State::Failed
                                                     : State::Completed),
                  std::memory_order_release);
@@ -137,26 +202,10 @@ TelemetryJob::claimStallSnapshot()
     return stallSnapshotPath_;
 }
 
-TelemetrySink::TelemetrySink(TelemetryOptions opt, MetricsRegistry *reg)
-    : opt_(std::move(opt)), reg_(reg ? reg : &MetricsRegistry::global())
+TelemetrySink::TelemetrySink(TelemetryOptions opt) : opt_(std::move(opt))
 {
     if (opt_.dir.empty())
         fatal("TelemetrySink needs an output directory");
-    accessesTotal_ = reg_->counter(
-        "zerodev_accesses_total",
-        "Simulated memory accesses completed across all jobs");
-    jobsTotal_ =
-        reg_->counter("zerodev_jobs_total", "Jobs registered");
-    jobsCompleted_ = reg_->counter("zerodev_jobs_completed_total",
-                                   "Jobs finished successfully");
-    jobsFailed_ =
-        reg_->counter("zerodev_jobs_failed_total", "Jobs that failed");
-    stallsTotal_ = reg_->counter("zerodev_stalls_total",
-                                 "Watchdog stall events emitted");
-    wallSeconds_ = reg_->histogram(
-        "zerodev_job_wall_seconds", "Host wall-clock seconds per job",
-        {0.01, 0.1, 1.0, 10.0, 60.0, 300.0});
-
     event("sink_start", "",
           "\"pid\":" + std::to_string(::getpid()) +
               ",\"stall_seconds\":" + jsonNumber(opt_.stallSeconds));
@@ -175,18 +224,9 @@ TelemetrySink::beginJob(const std::string &name,
                         std::uint64_t total)
 {
     const std::string slug = slugify(name);
-    std::unique_ptr<TelemetryJob> job(
-        new TelemetryJob(slug, figure, fingerprint, total,
-                         opt_.heartbeatEvery, accessesTotal_));
+    std::unique_ptr<TelemetryJob> job(new TelemetryJob(
+        slug, figure, fingerprint, total, opt_.heartbeatEvery));
     job->sink_ = this;
-    job->progressGauge_ =
-        reg_->gauge("zerodev_job_progress",
-                    "Fraction of the job's accesses completed",
-                    "job=\"" + slug + "\"");
-    job->rateGauge_ = reg_->gauge(
-        "zerodev_job_maccesses_per_second",
-        "Host simulation rate of the job", "job=\"" + slug + "\"");
-    jobsTotal_->inc();
 
     TelemetryJob *out = job.get();
     {
@@ -220,16 +260,6 @@ TelemetrySink::event(const std::string &kind, const std::string &job,
 void
 TelemetrySink::onJobComplete(TelemetryJob &job, const JobCompletion &c)
 {
-    if (c.failed)
-        jobsFailed_->inc();
-    else
-        jobsCompleted_->inc();
-    wallSeconds_->observe(c.wallSeconds);
-    ZDEV_METRIC_SET(job.progressGauge_,
-                    job.total_ ? static_cast<double>(c.accesses) /
-                                     static_cast<double>(job.total_)
-                               : 1.0);
-    ZDEV_METRIC_SET(job.rateGauge_, c.maccessesPerSecond);
     std::string fields =
         "\"accesses\":" + std::to_string(c.accesses) +
         ",\"cycles\":" + std::to_string(c.cycles) +
@@ -287,7 +317,6 @@ TelemetrySink::watchdog()
         j.stallReported_ = true;
         j.stalled_.store(true, std::memory_order_relaxed);
         stalls_.fetch_add(1, std::memory_order_relaxed);
-        stallsTotal_->inc();
         std::string fields =
             "\"no_progress_seconds\":" + jsonNumber(idle) +
             ",\"accesses\":" + std::to_string(done) +
@@ -310,6 +339,36 @@ TelemetrySink::watchdog()
         }
         event("stall", j.name_, fields);
     }
+}
+
+TelemetrySink::JobView
+TelemetrySink::viewOf(const TelemetryJob &j,
+                      std::chrono::steady_clock::time_point now)
+{
+    JobView v;
+    const double total = static_cast<double>(j.total_);
+    if (j.state() == TelemetryJob::State::Running) {
+        const std::uint64_t done = j.accessesDone();
+        const double elapsed = secondsSince(j.start_, now);
+        const double rate =
+            elapsed > 0.0 ? static_cast<double>(done) / elapsed : 0.0;
+        v.accesses = done;
+        v.progress = j.total_ ? static_cast<double>(done) / total : 0.0;
+        v.maccessesPerSecond = rate / 1e6;
+        v.etaSeconds = (rate > 0.0 && j.total_ > done)
+                           ? static_cast<double>(j.total_ - done) / rate
+                           : 0.0;
+        return v;
+    }
+    // Finished: the RunResult-derived numbers verbatim, so this view and
+    // the v2 run report agree exactly (the single-source-of-truth
+    // contract).
+    std::lock_guard<std::mutex> lock(j.mu_);
+    const JobCompletion &c = j.completion_;
+    v.accesses = c.accesses;
+    v.progress = j.total_ ? static_cast<double>(c.accesses) / total : 1.0;
+    v.maccessesPerSecond = c.maccessesPerSecond;
+    return v;
 }
 
 std::string
@@ -345,40 +404,22 @@ TelemetrySink::statusJson() const
         w.field("fingerprint", j.fingerprint_);
         w.field("state", stateName(js, j.stalled()));
         w.field("total_accesses", j.total_);
+        const JobView v = viewOf(j, now);
+        w.field("accesses", v.accesses);
+        w.field("progress", v.progress);
         if (js == TelemetryJob::State::Running) {
-            const std::uint64_t done = j.accessesDone();
-            const double elapsed = secondsSince(j.start_, now);
-            const double rate =
-                elapsed > 0.0 ? static_cast<double>(done) / elapsed
-                              : 0.0;
-            w.field("accesses", done);
-            w.field("progress",
-                    j.total_ ? static_cast<double>(done) /
-                                   static_cast<double>(j.total_)
-                             : 0.0);
             w.field("cycle",
                     j.cycle_.load(std::memory_order_relaxed));
-            w.field("maccesses_per_second", rate / 1e6);
-            w.field("eta_seconds",
-                    (rate > 0.0 && j.total_ > done)
-                        ? static_cast<double>(j.total_ - done) / rate
-                        : 0.0);
+            w.field("maccesses_per_second", v.maccessesPerSecond);
+            w.field("eta_seconds", v.etaSeconds);
         } else {
-            // Finished: republish the RunResult-derived numbers
-            // verbatim, so this view and the v2 run report agree
-            // exactly (the single-source-of-truth contract).
             std::lock_guard<std::mutex> jlock(j.mu_);
             const JobCompletion &c = j.completion_;
-            w.field("accesses", c.accesses);
-            w.field("progress",
-                    j.total_ ? static_cast<double>(c.accesses) /
-                                   static_cast<double>(j.total_)
-                             : 1.0);
             w.field("workload", c.workload);
             w.field("cycles", c.cycles);
             w.field("wall_seconds", c.wallSeconds);
-            w.field("maccesses_per_second", c.maccessesPerSecond);
-            w.field("eta_seconds", 0.0);
+            w.field("maccesses_per_second", v.maccessesPerSecond);
+            w.field("eta_seconds", v.etaSeconds);
             if (!c.latencyCycles.empty()) {
                 w.key("latency_cycles").beginObject();
                 for (const auto &[comp, cycles] : c.latencyCycles)
@@ -395,24 +436,120 @@ TelemetrySink::statusJson() const
     return w.str();
 }
 
+std::string
+TelemetrySink::prometheusText() const
+{
+    static const double kWallBounds[] = {0.01, 0.1, 1.0, 10.0, 60.0, 300.0};
+    constexpr std::size_t kBuckets = std::size(kWallBounds) + 1;
+    const auto now = std::chrono::steady_clock::now();
+
+    std::uint64_t accesses = 0, completed = 0, failed = 0;
+    std::uint64_t wallCounts[kBuckets] = {};
+    double wallSum = 0.0;
+    std::vector<std::uint64_t> dev, incl;
+    // Per-job gauges keyed by job name: a later job reusing a name
+    // replaces the earlier one's series instead of duplicating it.
+    std::map<std::string, JobView> views;
+    std::vector<std::string> order;
+
+    std::lock_guard<std::mutex> lock(jobsMu_);
+    for (const std::unique_ptr<TelemetryJob> &jp : jobs_) {
+        const TelemetryJob &j = *jp;
+        const TelemetryJob::State js = j.state();
+        accesses += j.accessesDone();
+        const auto [it, fresh] =
+            views.insert_or_assign(j.name_, viewOf(j, now));
+        if (fresh)
+            order.push_back(it->first);
+
+        std::lock_guard<std::mutex> jlock(j.mu_);
+        addInto(dev, j.devByInducer_);
+        addInto(incl, j.inclusionByInducer_);
+        if (js == TelemetryJob::State::Running)
+            continue;
+        if (js == TelemetryJob::State::Failed)
+            ++failed;
+        else
+            ++completed;
+        const double wall = j.completion_.wallSeconds;
+        std::size_t b = 0;
+        while (b < std::size(kWallBounds) && wall > kWallBounds[b])
+            ++b;
+        ++wallCounts[b];
+        wallSum += wall;
+    }
+
+    std::string out;
+    promCounter(out, "zerodev_accesses_total",
+                "Simulated memory accesses completed across all jobs",
+                accesses);
+    promCounter(out, "zerodev_jobs_total", "Jobs registered",
+                jobs_.size());
+    promCounter(out, "zerodev_jobs_completed_total",
+                "Jobs finished successfully", completed);
+    promCounter(out, "zerodev_jobs_failed_total", "Jobs that failed",
+                failed);
+    promCounter(out, "zerodev_stalls_total",
+                "Watchdog stall events emitted",
+                stalls_.load(std::memory_order_relaxed));
+
+    promHeader(out, "zerodev_job_wall_seconds", "histogram",
+               "Host wall-clock seconds per job");
+    std::uint64_t cum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        cum += wallCounts[b];
+        const std::string le = b < std::size(kWallBounds)
+                                   ? promNumber(kWallBounds[b])
+                                   : "+Inf";
+        promSample(out,
+                   "zerodev_job_wall_seconds_bucket{le=\"" + le + "\"}",
+                   std::to_string(cum));
+    }
+    promSample(out, "zerodev_job_wall_seconds_sum", promNumber(wallSum));
+    promSample(out, "zerodev_job_wall_seconds_count", std::to_string(cum));
+
+    promHeader(out, "zerodev_job_progress", "gauge",
+               "Fraction of the job's accesses completed");
+    for (const std::string &name : order) {
+        promSample(out, "zerodev_job_progress{job=\"" + name + "\"}",
+                   promNumber(views[name].progress));
+    }
+    promHeader(out, "zerodev_job_maccesses_per_second", "gauge",
+               "Host simulation rate of the job");
+    for (const std::string &name : order) {
+        promSample(out,
+                   "zerodev_job_maccesses_per_second{job=\"" + name + "\"}",
+                   promNumber(views[name].maccessesPerSecond));
+    }
+
+    promInducers(out, "zerodev_dev_invalidations_total",
+                 "Directory-eviction-victim invalidations attributed to "
+                 "the inducing core",
+                 dev);
+    promInducers(out, "zerodev_inclusion_invalidations_total",
+                 "Inclusion back-invalidations attributed to the "
+                 "inducing core",
+                 incl);
+    return out;
+}
+
 void
-TelemetrySink::writeStatusFile(const std::string &json) const
+TelemetrySink::writeFile(const std::string &name,
+                         const std::string &text) const
 {
     // Temp + rename: readers (telemetry_tool top, a future zerodevd
-    // endpoint) never observe a torn document.
-    const std::string tmp = opt_.dir + "/.status.json.tmp";
-    if (writeTextFile(tmp, json + "\n"))
-        std::rename(tmp.c_str(), (opt_.dir + "/status.json").c_str());
+    // endpoint, a textfile collector) never observe a torn document.
+    const std::string tmp = opt_.dir + "/." + name + ".tmp";
+    if (writeTextFile(tmp, text))
+        std::rename(tmp.c_str(), (opt_.dir + "/" + name).c_str());
 }
 
 void
 TelemetrySink::publish()
 {
     watchdog();
-    writeStatusFile(statusJson());
-    const std::string tmp = opt_.dir + "/.metrics.prom.tmp";
-    if (writeTextFile(tmp, reg_->prometheusText()))
-        std::rename(tmp.c_str(), (opt_.dir + "/metrics.prom").c_str());
+    writeFile("status.json", statusJson() + "\n");
+    writeFile("metrics.prom", prometheusText());
 }
 
 void
@@ -428,10 +565,8 @@ TelemetrySink::finalize()
     if (publisher_.joinable())
         publisher_.join();
     // One last watchdog-free publish with the terminal state.
-    writeStatusFile(statusJson());
-    const std::string tmp = opt_.dir + "/.metrics.prom.tmp";
-    if (writeTextFile(tmp, reg_->prometheusText()))
-        std::rename(tmp.c_str(), (opt_.dir + "/metrics.prom").c_str());
+    writeFile("status.json", statusJson() + "\n");
+    writeFile("metrics.prom", prometheusText());
     event("sink_finalize", "",
           "\"stalls\":" +
               std::to_string(stalls_.load(std::memory_order_relaxed)));

@@ -8,16 +8,19 @@
  *
  *  - Workers (the simulation loops in sim/runner.cc, the Differ, the
  *    sweep engine) own a TelemetryJob each and call progress() every
- *    heartbeatEvery() accesses — two relaxed atomic stores plus one
- *    sharded counter add, no locks, nothing if telemetry is off.
+ *    heartbeatEvery() accesses — two relaxed atomic stores, no locks,
+ *    nothing if telemetry is off. run() and replay() also hand the job
+ *    a copy of the per-inducing-core provenance counters at each
+ *    heartbeat (provenance(), under the job's mutex).
  *
  *  - The TelemetrySink's publisher thread wakes every flush period,
- *    rewrites <dir>/status.json (atomically: temp file + rename) and
- *    <dir>/metrics.prom from the registry, and runs the watchdog: a
- *    running job whose progress counter has not moved for stallSeconds
- *    gets a `stall` event (with the job's full state dumped into it)
- *    and, when stallSnapshots is on, a snapshot-on-stall request the
- *    worker services at its next checkpoint-safe boundary.
+ *    rewrites <dir>/status.json and <dir>/metrics.prom (atomically:
+ *    temp file + rename), both rendered from the sink's job table, and
+ *    runs the watchdog: a running job whose progress counter has not
+ *    moved for stallSeconds gets a `stall` event (with the job's full
+ *    state dumped into it) and, when stallSnapshots is on, a
+ *    snapshot-on-stall request the worker services at its next
+ *    checkpoint-safe boundary.
  *
  *  - Consumers tail <dir>/events.jsonl (schema zerodev-events-v1) or
  *    poll status.json (schema zerodev-status-v1) — `telemetry_tool top`
@@ -42,8 +45,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "obs/metrics.hh"
 
 namespace zerodev
 {
@@ -95,6 +96,11 @@ struct JobCompletion
      *  non-zero ones; empty when no profiler was attached. */
     std::vector<std::pair<std::string, std::uint64_t>> latencyCycles;
 
+    /** DEV / inclusion invalidations per inducing core; empty for jobs
+     *  that are not a run() or replay(). */
+    std::vector<std::uint64_t> devByInducer;
+    std::vector<std::uint64_t> inclusionByInducer;
+
     bool failed = false;
     std::string error;
 };
@@ -134,9 +140,12 @@ class TelemetryJob
     {
         done_.store(done, std::memory_order_relaxed);
         cycle_.store(cycle, std::memory_order_relaxed);
-        ZDEV_METRIC_ADD(accessesTotal_, done - counted_);
-        counted_ = done;
     }
+
+    /** Worker heartbeat for run() and replay(): a copy of the system's
+     *  DEV and inclusion invalidations per inducing core so far. */
+    void provenance(const std::vector<std::uint64_t> &devByInducer,
+                    const std::vector<std::uint64_t> &inclusionByInducer);
 
     /** Worker completion (or failure, when @p c.failed). */
     void complete(const JobCompletion &c);
@@ -178,7 +187,7 @@ class TelemetryJob
     friend class TelemetrySink;
     TelemetryJob(std::string name, std::string figure,
                  std::string fingerprint, std::uint64_t total,
-                 std::uint64_t heartbeatEvery, Counter *accessesTotal);
+                 std::uint64_t heartbeatEvery);
 
     const std::string name_;
     const std::string figure_;
@@ -193,13 +202,11 @@ class TelemetryJob
     std::atomic<bool> stalled_{false};
 
     TelemetrySink *sink_ = nullptr;
-    Counter *accessesTotal_;    //!< shared zerodev_accesses_total
-    std::uint64_t counted_ = 0; //!< worker-thread-only add() baseline
-    Gauge *progressGauge_ = nullptr;
-    Gauge *rateGauge_ = nullptr;
 
-    mutable std::mutex mu_; //!< completion_ and stall path
+    mutable std::mutex mu_; //!< completion_, provenance and stall path
     JobCompletion completion_;
+    std::vector<std::uint64_t> devByInducer_;
+    std::vector<std::uint64_t> inclusionByInducer_;
     std::string stallSnapshotPath_;
     std::atomic<bool> snapshotRequested_{false};
 
@@ -216,11 +223,9 @@ class TelemetryJob
 class TelemetrySink
 {
   public:
-    /** Starts the publisher thread; @p reg defaults to the process
-     *  registry. The directory must already exist (fromEnv and the
-     *  tests create it). */
-    explicit TelemetrySink(TelemetryOptions opt,
-                           MetricsRegistry *reg = nullptr);
+    /** Starts the publisher thread. The directory must already exist
+     *  (fromEnv and the tests create it). */
+    explicit TelemetrySink(TelemetryOptions opt);
 
     /** Finalizes (idempotent) and joins the publisher. */
     ~TelemetrySink();
@@ -255,6 +260,10 @@ class TelemetrySink
     /** Render the current status document (what status.json holds). */
     std::string statusJson() const;
 
+    /** Render the current Prometheus text exposition (what metrics.prom
+     *  holds) from the same job table. */
+    std::string prometheusText() const;
+
     /** Stall events emitted so far. */
     std::uint64_t
     stallsDetected() const
@@ -277,8 +286,20 @@ class TelemetrySink
   private:
     friend class TelemetryJob;
 
-    /** Completion bookkeeping + job_complete event (worker thread). */
+    /** The job_complete / job_failed event (worker thread). */
     void onJobComplete(TelemetryJob &job, const JobCompletion &c);
+
+    /** The numbers status.json and metrics.prom both print for a job:
+     *  live while it runs, its JobCompletion once it has finished. */
+    struct JobView
+    {
+        std::uint64_t accesses = 0;
+        double progress = 0.0;
+        double maccessesPerSecond = 0.0;
+        double etaSeconds = 0.0;
+    };
+    static JobView viewOf(const TelemetryJob &j,
+                          std::chrono::steady_clock::time_point now);
 
     void publisherLoop();
 
@@ -289,22 +310,15 @@ class TelemetrySink
     /** Watchdog sweep over running jobs (publisher thread only). */
     void watchdog();
 
-    void writeStatusFile(const std::string &json) const;
+    /** Atomically replace <dir>/@p name with @p text. */
+    void writeFile(const std::string &name, const std::string &text) const;
 
     TelemetryOptions opt_;
-    MetricsRegistry *reg_;
 
     mutable std::mutex jobsMu_;
     std::vector<std::unique_ptr<TelemetryJob>> jobs_;
 
     std::mutex eventMu_;
-
-    Counter *accessesTotal_;
-    Counter *jobsTotal_;
-    Counter *jobsCompleted_;
-    Counter *jobsFailed_;
-    Counter *stallsTotal_;
-    HistogramMetric *wallSeconds_;
 
     std::atomic<std::uint64_t> stalls_{0};
     std::atomic<bool> finalized_{false};

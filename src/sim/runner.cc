@@ -246,6 +246,16 @@ nextMultiple(std::uint64_t executed, std::uint64_t every)
     return every ? (executed / every + 1) * every : ~0ull;
 }
 
+/** One telemetry heartbeat: progress plus the provenance counters. */
+void
+publishHeartbeat(obs::TelemetryJob &job, const CmpSystem &sys,
+                 std::uint64_t executed, Cycle horizon)
+{
+    job.progress(executed, horizon);
+    job.provenance(sys.protoStats().devByInducer,
+                   sys.protoStats().inclusionByInducer);
+}
+
 /**
  * The one issue loop behind run() and replay(). @p next(state, executed,
  * core, access) names the next transaction, or returns false when the
@@ -329,7 +339,8 @@ issueLoop(CmpSystem &sys, const RunConfig &rc, const std::string &name,
             break;
         }
         if (executed >= next_beat) {
-            rc.telemetry->progress(executed, observers.horizon());
+            publishHeartbeat(*rc.telemetry, sys, executed,
+                             observers.horizon());
             if (rc.telemetry->stallSnapshotRequested()) {
                 const std::string p = rc.telemetry->claimStallSnapshot();
                 if (!p.empty()) {
@@ -345,8 +356,10 @@ issueLoop(CmpSystem &sys, const RunConfig &rc, const std::string &name,
                 std::chrono::duration<double>(rc.plantStallSeconds));
         }
     }
-    if (rc.telemetry)
-        rc.telemetry->progress(executed, observers.horizon());
+    if (rc.telemetry) {
+        publishHeartbeat(*rc.telemetry, sys, executed,
+                         observers.horizon());
+    }
 
     RunResult res;
     res.workload = name;

@@ -84,9 +84,15 @@ TEST(Runner, BaselineTinyDirectoryGeneratesDevs)
     EXPECT_GT(r.devInvalidations, 0u);
 }
 
+std::string
+tmpPath(const std::string &name)
+{
+    return ::testing::TempDir() + "zdev_runner_" + name;
+}
+
 TEST(Runner, TraceReplayMatchesLiveRun)
 {
-    const std::string path = "/tmp/zerodev_replay_test.bin";
+    const std::string path = tmpPath("replay_live.trc");
     const Workload w =
         Workload::multiThreaded(profileByName("swaptions"), 2);
     RunConfig rc = quick(2000);
@@ -100,12 +106,6 @@ TEST(Runner, TraceReplayMatchesLiveRun)
     EXPECT_EQ(r_live.cycles, r_replay.cycles);
     EXPECT_EQ(r_live.trafficBytes, r_replay.trafficBytes);
     std::remove(path.c_str());
-}
-
-std::string
-tmpPath(const std::string &name)
-{
-    return ::testing::TempDir() + "zdev_runner_" + name;
 }
 
 /** Record @p per_core accesses per core of canneal on @p cfg. */

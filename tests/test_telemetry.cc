@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests for the live-telemetry subsystem: the sharded metrics registry
- * and its Prometheus exposition (plus the exposition checker itself),
+ * Tests for the live-telemetry subsystem: the Prometheus exposition the
+ * sink renders from its job table (plus the exposition checker itself),
  * the TelemetrySink lifecycle (events, status.json, per-job gauges),
  * heartbeat monotonicity during a real run, the stall watchdog with its
  * snapshot-on-stall, the single-source-of-truth contract between live
- * status and the v2 run report, and the provenance stamp every JSON
- * artifact carries.
+ * status, metrics.prom and the v2 run report, and the provenance stamp
+ * every JSON artifact carries.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <thread>
 #include <vector>
@@ -49,101 +51,133 @@ cannealOn(const SystemConfig &cfg)
                                    cfg.coresPerSocket * cfg.sockets);
 }
 
-// --- registry -----------------------------------------------------------
+// --- Prometheus exposition ---------------------------------------------
 
-TEST(Metrics, RegistrationIsIdempotent)
+obs::TelemetryOptions
+fastOptions(const std::string &dir)
 {
-    obs::MetricsRegistry reg;
-    obs::Counter *a = reg.counter("zdev_test_total", "help");
-    obs::Counter *b = reg.counter("zdev_test_total", "other help");
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(reg.size(), 1u);
-
-    // Distinct labels are distinct series under one name.
-    obs::Gauge *g1 = reg.gauge("zdev_g", "h", "job=\"a\"");
-    obs::Gauge *g2 = reg.gauge("zdev_g", "h", "job=\"b\"");
-    EXPECT_NE(g1, g2);
-    EXPECT_EQ(reg.gauge("zdev_g", "h", "job=\"a\""), g1);
-    EXPECT_EQ(reg.size(), 3u);
+    obs::TelemetryOptions opt;
+    opt.dir = dir;
+    opt.flushPeriodSeconds = 0.02;
+    opt.stallSeconds = 0.0; // watchdog off unless the test wants it
+    opt.heartbeatEvery = 64;
+    return opt;
 }
 
-TEST(Metrics, CounterAggregatesAcrossThreads)
+/** Value of the sample line for @p series in @p text (NaN if absent). */
+double
+promValue(const std::string &text, const std::string &series)
 {
-    obs::MetricsRegistry reg;
-    obs::Counter *c = reg.counter("zdev_mt_total", "h");
-    constexpr int kThreads = 8;
-    constexpr std::uint64_t kPerThread = 50000;
-    std::vector<std::thread> ts;
-    for (int t = 0; t < kThreads; ++t) {
-        ts.emplace_back([c] {
-            for (std::uint64_t i = 0; i < kPerThread; ++i)
-                c->inc();
-        });
+    const std::string key = "\n" + series + " ";
+    const std::size_t at = ("\n" + text).find(key);
+    if (at == std::string::npos)
+        return std::nan("");
+    return std::strtod(text.c_str() + at + key.size() - 1, nullptr);
+}
+
+/** Number of lines of @p text that start with @p prefix. */
+std::size_t
+linesStartingWith(const std::string &text, const std::string &prefix)
+{
+    std::size_t n = 0;
+    for (std::size_t at = 0; at < text.size();) {
+        if (text.compare(at, prefix.size(), prefix) == 0)
+            ++n;
+        const std::size_t nl = text.find('\n', at);
+        at = nl == std::string::npos ? text.size() : nl + 1;
     }
-    for (std::thread &t : ts)
-        t.join();
-#if ZERODEV_METRICS
-    EXPECT_EQ(c->value(), kThreads * kPerThread);
-#else
-    EXPECT_EQ(c->value(), 0u); // compiled out: inc() is a no-op
-#endif
-}
-
-TEST(Metrics, DisabledRegistryDropsMutations)
-{
-    obs::MetricsRegistry reg;
-    obs::Counter *c = reg.counter("zdev_off_total", "h");
-    obs::Gauge *g = reg.gauge("zdev_off_g", "h");
-    reg.setEnabled(false);
-    c->add(7);
-    g->set(3.5);
-#if ZERODEV_METRICS
-    EXPECT_EQ(c->value(), 0u);
-    EXPECT_EQ(g->value(), 0.0);
-#endif
-    reg.setEnabled(true);
-    c->add(7);
-#if ZERODEV_METRICS
-    EXPECT_EQ(c->value(), 7u);
-#endif
-}
-
-TEST(Metrics, HistogramBucketsAndSum)
-{
-    obs::MetricsRegistry reg;
-    obs::HistogramMetric *h =
-        reg.histogram("zdev_h_seconds", "h", {0.1, 1.0, 10.0});
-    h->observe(0.05);
-    h->observe(0.5);
-    h->observe(5.0);
-    h->observe(50.0);
-#if ZERODEV_METRICS
-    const obs::HistogramMetric::Snapshot s = h->snapshot();
-    ASSERT_EQ(s.counts.size(), 4u); // 3 bounds + overflow
-    EXPECT_EQ(s.counts[0], 1u);
-    EXPECT_EQ(s.counts[1], 1u);
-    EXPECT_EQ(s.counts[2], 1u);
-    EXPECT_EQ(s.counts[3], 1u);
-    EXPECT_EQ(s.count, 4u);
-    EXPECT_DOUBLE_EQ(s.sum, 55.55);
-#endif
+    return n;
 }
 
 TEST(Metrics, PrometheusTextPassesChecker)
 {
-    obs::MetricsRegistry reg;
-    reg.counter("zdev_a_total", "counts things")->add(3);
-    reg.gauge("zdev_b", "a gauge", "job=\"x\"")->set(0.25);
-    reg.gauge("zdev_b", "a gauge", "job=\"y\"")->set(1e-9);
-    reg.histogram("zdev_c_seconds", "latency", {0.1, 1.0})->observe(0.2);
-    const std::string text = reg.prometheusText();
+    // Two finished jobs (one failed) and one running job.
+    obs::TelemetrySink sink(fastOptions(tmpDir("prom")));
+    obs::JobCompletion c;
+    c.accesses = 10;
+    c.wallSeconds = 0.05;
+    c.maccessesPerSecond = 0.25;
+    sink.beginJob("x", "f", "", 10)->complete(c);
+    c.wallSeconds = 20.0;
+    c.failed = true;
+    sink.beginJob("y", "f", "", 10)->complete(c);
+    sink.beginJob("z", "f", "", 40)->progress(10, 99);
+
+    const std::string text = sink.prometheusText();
     std::string err;
     EXPECT_TRUE(obs::checkPrometheusText(text, &err)) << err << text;
-#if ZERODEV_METRICS
     // Bucket bounds keep their shortest spelling.
     EXPECT_NE(text.find("le=\"0.1\""), std::string::npos) << text;
-    EXPECT_NE(text.find("zdev_b{job=\"x\"}"), std::string::npos);
-#endif
+    for (const std::string job : {"x", "y", "z"}) {
+        EXPECT_NE(text.find("zerodev_job_progress{job=\"" + job + "\"}"),
+                  std::string::npos)
+            << text;
+    }
+    EXPECT_EQ(
+        promValue(text, "zerodev_job_maccesses_per_second{job=\"x\"}"),
+        0.25);
+    EXPECT_EQ(promValue(text, "zerodev_jobs_total"), 3.0);
+    EXPECT_EQ(promValue(text, "zerodev_jobs_completed_total"), 1.0);
+    EXPECT_EQ(promValue(text, "zerodev_jobs_failed_total"), 1.0);
+    EXPECT_EQ(promValue(text, "zerodev_accesses_total"), 30.0);
+
+    // Six bounds plus +Inf, one _sum and one _count, counting only the
+    // two finished jobs.
+    EXPECT_EQ(linesStartingWith(text, "zerodev_job_wall_seconds_bucket{"),
+              7u);
+    EXPECT_EQ(linesStartingWith(text, "zerodev_job_wall_seconds_sum "),
+              1u);
+    EXPECT_EQ(linesStartingWith(text, "zerodev_job_wall_seconds_count "),
+              1u);
+    EXPECT_EQ(
+        promValue(text, "zerodev_job_wall_seconds_bucket{le=\"0.1\"}"),
+        1.0);
+    EXPECT_EQ(
+        promValue(text, "zerodev_job_wall_seconds_bucket{le=\"60\"}"),
+        2.0);
+    EXPECT_EQ(promValue(text, "zerodev_job_wall_seconds_count"), 2.0);
+    EXPECT_DOUBLE_EQ(promValue(text, "zerodev_job_wall_seconds_sum"),
+                     20.05);
+}
+
+TEST(Metrics, RunningJobGaugesAreLive)
+{
+    // A mid-run scrape shows the same progress status.json does, not 0.
+    obs::TelemetrySink sink(fastOptions(tmpDir("live")));
+    obs::TelemetryJob *job = sink.beginJob("live", "f", "", 1000);
+    job->progress(400, 1234);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+    const std::string text = sink.prometheusText();
+    const double progress =
+        promValue(text, "zerodev_job_progress{job=\"live\"}");
+    EXPECT_GT(progress, 0.0) << text;
+    EXPECT_LT(progress, 1.0) << text;
+    EXPECT_DOUBLE_EQ(progress, 0.4);
+    EXPECT_GT(
+        promValue(text, "zerodev_job_maccesses_per_second{job=\"live\"}"),
+        0.0)
+        << text;
+    EXPECT_EQ(promValue(text, "zerodev_accesses_total"), 400.0);
+}
+
+TEST(Metrics, ReusedJobNameKeepsOneSeries)
+{
+    // A daemon running one figure twice registers two jobs of one
+    // name: the later job's gauges replace the earlier one's.
+    obs::TelemetrySink sink(fastOptions(tmpDir("reuse")));
+    obs::JobCompletion c;
+    c.accesses = 10;
+    sink.beginJob("again", "f", "", 10)->complete(c);
+    sink.beginJob("again", "f", "", 40)->progress(10, 1);
+
+    const std::string text = sink.prometheusText();
+    std::string err;
+    EXPECT_TRUE(obs::checkPrometheusText(text, &err)) << err << text;
+    EXPECT_EQ(linesStartingWith(text, "zerodev_job_progress{"), 1u);
+    EXPECT_DOUBLE_EQ(
+        promValue(text, "zerodev_job_progress{job=\"again\"}"), 0.25);
+    EXPECT_EQ(promValue(text, "zerodev_jobs_total"), 2.0);
 }
 
 TEST(Metrics, CheckerRejectsBadExpositions)
@@ -174,46 +208,45 @@ TEST(Metrics, CheckerRejectsBadExpositions)
         "# HELP zdev_x counts\n# TYPE zdev_x counter\nzdev_x 1\n"));
 }
 
-TEST(Metrics, ScrapeWhileIncrementingIsConsistent)
+TEST(Metrics, ScrapeWhileHeartbeatingIsConsistent)
 {
-    // The TSan CI job runs the sweep analogue of this with --jobs 8
-    // under instrumentation; here it is a plain smoke that scraping
-    // mid-increment never yields a torn exposition.
-    obs::MetricsRegistry reg;
-    obs::Counter *c = reg.counter("zdev_race_total", "h");
+    // The TSan CI job runs this test and the 8-job sweep analogue under
+    // instrumentation: scraping while a worker heartbeats never yields a
+    // torn exposition, and the access counter never moves back.
+    obs::TelemetrySink sink(fastOptions(tmpDir("race")));
+    constexpr std::uint64_t kTotal = 1u << 24;
+    obs::TelemetryJob *job = sink.beginJob("race", "f", "", kTotal);
     std::atomic<bool> stop{false};
-    std::thread writer([&] {
-        while (!stop.load(std::memory_order_relaxed))
-            c->add(1);
+    std::thread worker([&] {
+        std::vector<std::uint64_t> dev(4, 0), incl(4, 0);
+        std::uint64_t done = 0;
+        while (!stop.load(std::memory_order_relaxed) && done < kTotal) {
+            done += 64;
+            ++dev[(done / 64) % 4];
+            job->progress(done, done);
+            job->provenance(dev, incl);
+        }
     });
+    double last = 0.0;
     for (int i = 0; i < 50; ++i) {
+        const std::string text = sink.prometheusText();
         std::string err;
-        ASSERT_TRUE(obs::checkPrometheusText(reg.prometheusText(), &err))
-            << err;
+        EXPECT_TRUE(obs::checkPrometheusText(text, &err)) << err;
+        const double done = promValue(text, "zerodev_accesses_total");
+        EXPECT_GE(done, last);
+        last = done;
     }
     stop.store(true, std::memory_order_relaxed);
-    writer.join();
+    worker.join();
 }
 
 // --- sink lifecycle -----------------------------------------------------
 
-obs::TelemetryOptions
-fastOptions(const std::string &dir)
-{
-    obs::TelemetryOptions opt;
-    opt.dir = dir;
-    opt.flushPeriodSeconds = 0.02;
-    opt.stallSeconds = 0.0; // watchdog off unless the test wants it
-    opt.heartbeatEvery = 64;
-    return opt;
-}
-
 TEST(Telemetry, SinkLifecycleAndEventLog)
 {
     const std::string dir = tmpDir("lifecycle");
-    obs::MetricsRegistry reg;
     {
-        obs::TelemetrySink sink(fastOptions(dir), &reg);
+        obs::TelemetrySink sink(fastOptions(dir));
         obs::TelemetryJob *job =
             sink.beginJob("demo", "fig0", "cafe", 100);
         job->progress(50, 1234);
@@ -273,10 +306,10 @@ TEST(Telemetry, SinkLifecycleAndEventLog)
 TEST(Telemetry, FailedJobAbortsTheSink)
 {
     const std::string dir = tmpDir("failed");
-    obs::MetricsRegistry reg;
-    obs::TelemetrySink sink(fastOptions(dir), &reg);
+    obs::TelemetrySink sink(fastOptions(dir));
     obs::TelemetryJob *job = sink.beginJob("bad job/name", "f", "", 10);
     EXPECT_EQ(job->name(), "bad_job_name"); // slugified
+    job->progress(7, 70);
     obs::JobCompletion c;
     c.accesses = 5;
     c.failed = true;
@@ -290,6 +323,13 @@ TEST(Telemetry, FailedJobAbortsTheSink)
     ASSERT_TRUE(jobs && jobs->isArray() && jobs->array.size() == 1);
     EXPECT_EQ(jobs->array[0].str("state"), "failed");
     EXPECT_EQ(jobs->array[0].str("error"), "exploded");
+    EXPECT_DOUBLE_EQ(jobs->array[0].num("accesses"), 5.0);
+
+    // A failed completion reporting fewer accesses than the heartbeats
+    // did leaves the access counter where it was: it never moves back.
+    const std::string prom = sink.prometheusText();
+    EXPECT_EQ(promValue(prom, "zerodev_accesses_total"), 7.0);
+    EXPECT_EQ(promValue(prom, "zerodev_jobs_failed_total"), 1.0);
 }
 
 // --- live runs ----------------------------------------------------------
@@ -297,8 +337,7 @@ TEST(Telemetry, FailedJobAbortsTheSink)
 TEST(Telemetry, HeartbeatsAreMonotonicDuringARun)
 {
     const std::string dir = tmpDir("heartbeat");
-    obs::MetricsRegistry reg;
-    obs::TelemetrySink sink(fastOptions(dir), &reg);
+    obs::TelemetrySink sink(fastOptions(dir));
 
     const SystemConfig cfg = testutil::tinyConfig();
     const Workload w = cannealOn(cfg);
@@ -341,8 +380,7 @@ TEST(Telemetry, StatusMatchesRunReportExactly)
     // entry republishes the RunResult numbers verbatim, so it agrees
     // with the v2 run report field for field.
     const std::string dir = tmpDir("truth");
-    obs::MetricsRegistry reg;
-    obs::TelemetrySink sink(fastOptions(dir), &reg);
+    obs::TelemetrySink sink(fastOptions(dir));
 
     const SystemConfig cfg = testutil::tinyConfig();
     const Workload w = cannealOn(cfg);
@@ -384,14 +422,64 @@ TEST(Telemetry, StatusMatchesRunReportExactly)
     EXPECT_DOUBLE_EQ(j.num("wall_seconds"), res.wallSeconds);
 }
 
+TEST(Telemetry, MetricsMatchRunReportExactly)
+{
+    // The same contract for metrics.prom, on a directory small enough
+    // to produce DEVs: the final per-inducing-core samples are the v2
+    // report's leakage arrays, and the access counter is the run's.
+    const std::string dir = tmpDir("truth_prom");
+    obs::TelemetrySink sink(fastOptions(dir));
+
+    SystemConfig cfg = testutil::tinyConfig();
+    cfg.directory.sizeRatio = 0.0625;
+    const Workload w = cannealOn(cfg);
+    RunConfig rc;
+    rc.accessesPerCore = 5000;
+    obs::TelemetryJob *job = sink.beginJob(
+        "truth", "fig0", "", rc.accessesPerCore * w.threadCount());
+    rc.telemetry = job;
+    CmpSystem sys(cfg);
+    const RunResult res = run(sys, w, rc);
+    job->complete(obs::completionOf(res));
+    sink.finalize();
+    ASSERT_GT(res.devInvalidations, 0u);
+
+    const auto prom = obs::readTextFile(dir + "/metrics.prom");
+    ASSERT_TRUE(prom);
+    std::string err;
+    EXPECT_TRUE(obs::checkPrometheusText(*prom, &err)) << err;
+    EXPECT_EQ(promValue(*prom, "zerodev_accesses_total"),
+              static_cast<double>(res.accesses));
+
+    const auto report = obs::parseJson(obs::runReportJson(cfg, res));
+    ASSERT_TRUE(report);
+    const obs::JsonValue *leak = report->find("leakage");
+    ASSERT_TRUE(leak);
+    for (const auto &[series, key] :
+         {std::pair<std::string, std::string>{
+              "zerodev_dev_invalidations_total", "devByInducingCore"},
+          {"zerodev_inclusion_invalidations_total",
+           "inclusionByInducingCore"}}) {
+        const obs::JsonValue *by = leak->find(key);
+        ASSERT_TRUE(by && by->isArray()) << key;
+        EXPECT_EQ(linesStartingWith(*prom, series + "{"),
+                  by->array.size());
+        for (std::size_t c = 0; c < by->array.size(); ++c) {
+            EXPECT_EQ(promValue(*prom, series + "{inducing_core=\"" +
+                                           std::to_string(c) + "\"}"),
+                      by->array[c].number)
+                << series << " core " << c;
+        }
+    }
+}
+
 TEST(Telemetry, WatchdogDetectsPlantedStallAndSnapshots)
 {
     const std::string dir = tmpDir("stall");
-    obs::MetricsRegistry reg;
     obs::TelemetryOptions opt = fastOptions(dir);
     opt.stallSeconds = 0.15;
     opt.stallSnapshots = true;
-    obs::TelemetrySink sink(opt, &reg);
+    obs::TelemetrySink sink(opt);
 
     const SystemConfig cfg = testutil::tinyConfig();
     const Workload w = cannealOn(cfg);
@@ -469,8 +557,7 @@ TEST(Telemetry, EveryJsonArtifactCarriesTheProvenanceStamp)
     expectStamped(cmp.verdictJson(), "zerodev-compare-v1");
 
     // Status document.
-    obs::MetricsRegistry reg;
-    obs::TelemetrySink sink(fastOptions(tmpDir("stamp2")), &reg);
+    obs::TelemetrySink sink(fastOptions(tmpDir("stamp2")));
     sink.finalize();
     expectStamped(sink.statusJson(), "zerodev-status-v1");
 }

@@ -186,7 +186,8 @@ TEST(Workload, HetMixesEqualRepresentation)
 
 TEST(Trace, RoundTrip)
 {
-    const std::string path = "/tmp/zerodev_test_trace.bin";
+    const std::string path =
+        ::testing::TempDir() + "zdev_trace_roundtrip.trc";
     {
         TraceWriter w(path, 2);
         w.append({0, {AccessType::Load, 100, 3}});
